@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from .linalg import eig_symmetric
 from .metric_props import SENTINEL, DistanceTensor
@@ -100,32 +101,13 @@ def _affinities(weights: np.ndarray) -> np.ndarray:
     return np.exp(-weights / sigma)
 
 
-def _component_count(mask: np.ndarray) -> int:
-    n = mask.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(mask[u])[0]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-    return count
-
-
 def _check_support(degrees: np.ndarray, support: np.ndarray, k: int) -> np.ndarray:
     isolated = np.nonzero(degrees <= 0.0)[0]
     if isolated.size:
         raise ValueError(f"isolated vertices: {isolated.tolist()}")
     support = support.copy()
     np.fill_diagonal(support, False)
-    c = _component_count(support)
+    c, _ = connected_components(support, directed=False)
     if c > k:
         raise ValueError(f"affinity graph splits into {c} components, more than k={k}")
     return degrees

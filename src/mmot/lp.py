@@ -1,15 +1,17 @@
-"""Dense two-phase primal simplex for equality-form LPs.
+"""Equality-form LPs solved by HiGHS dual revised simplex.
 
-min c.x  s.t.  A x = b, x >= 0, with A small and dense.  Transport
-constraint systems are rank-deficient, so dependent rows are dropped by
-pivoted elimination before phase one.  Bland's rule is always on: the
-polytopes here are degenerate enough to cycle otherwise.
+min c.x  s.t.  A x = b, x >= 0, with A dense or scipy.sparse.  Transport
+constraint systems are rank-deficient; HiGHS removes dependent rows and
+detects inconsistent ones itself.  The simplex returns a basic optimal
+solution, and the same problem gives the same answer on every run.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.optimize import linprog
 
 __all__ = [
     "OPTIMAL",
@@ -28,10 +30,10 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 FEASIBLE = "feasible"
 
-RANK_TOL = 1e-10
-PIVOT_TOL = 1e-10
-RATIO_TIE_TOL = 1e-9
-PHASE1_TOL = 1e-8
+# well below the 1e-8 marginal check (transport.MARGINAL_TOL) that every
+# optimal coupling must pass
+PRIMAL_FEAS_TOL = 1e-10
+DUAL_FEAS_TOL = 1e-10
 DEFAULT_MAX_PIVOTS = 1_000_000
 
 
@@ -42,18 +44,18 @@ class PivotLimitError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class LpProblem:
     c: np.ndarray
-    A: np.ndarray
+    A: np.ndarray | sp.csc_array
     b: np.ndarray
 
     def __init__(self, c, A, b):
         c = np.asarray(c, dtype=float)
-        A = np.asarray(A, dtype=float)
+        A = sp.csc_array(A, dtype=float) if sp.issparse(A) else np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         if A.ndim != 2 or c.ndim != 1 or b.ndim != 1:
             raise ValueError("c and b must be vectors, A a matrix")
         if A.shape != (b.shape[0], c.shape[0]) or c.shape[0] < 1 or b.shape[0] < 1:
             raise ValueError(f"inconsistent dimensions: A {A.shape}, c {c.shape}, b {b.shape}")
-        for name, arr in (("c", c), ("A", A), ("b", b)):
+        for name, arr in (("c", c), ("A", A.data if sp.issparse(A) else A), ("b", b)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains NaN or infinite entries")
         object.__setattr__(self, "c", c)
@@ -68,163 +70,34 @@ class LpSolution:
     x: np.ndarray
 
 
-def _independent_rows(A: np.ndarray, b: np.ndarray):
-    """Select a maximal independent subset of rows of [A|b].
-
-    Returns (kept_row_indices, consistent).  consistent is False when some
-    dependent row reduces to 0 = nonzero, i.e. the system is contradictory.
-    """
-    m, n = A.shape
-    work = np.hstack([A, b[:, None]]).astype(float)
-    kept: list[int] = []
-    remaining = list(range(m))
-    for col in range(n):
-        if not remaining:
-            break
-        sub = np.array([abs(work[r, col]) for r in remaining])
-        best = int(np.argmax(sub))
-        if sub[best] <= RANK_TOL:
-            continue
-        r = remaining.pop(best)
-        kept.append(r)
-        for q in remaining:
-            factor = work[q, col] / work[r, col]
-            if factor != 0.0:
-                work[q] -= factor * work[r]
-    for q in remaining:
-        if abs(work[q, -1]) > RANK_TOL * max(1.0, float(np.abs(b).max())):
-            return sorted(kept), False
-    return sorted(kept), True
-
-
-def _pivot(T: np.ndarray, r: int, j: int) -> None:
-    T[r] /= T[r, j]
-    col = T[:, j].copy()
-    col[r] = 0.0
-    T -= np.outer(col, T[r])
-
-
-def _bland_loop(T: np.ndarray, basis: np.ndarray, allowed: int, max_pivots: int) -> str:
-    """Run simplex pivots on tableau T until optimal or unbounded.
-
-    `allowed` caps the entering-variable index (excludes artificials in
-    phase one pricing).  Bland: entering = lowest-index negative reduced
-    cost; leaving = min ratio, ties to the lowest basic variable index.
-    """
-    m = T.shape[0] - 1
-    for _ in range(max_pivots):
-        rc = T[-1, :allowed]
-        # threshold scales with the objective row: an absolute cutoff turns
-        # rounding noise into entering candidates once costs span many decades
-        thresh = PIVOT_TOL * max(1.0, float(np.abs(rc).max()))
-        entering = np.nonzero(rc < -thresh)[0]
-        if entering.size == 0:
-            return OPTIMAL
-        j = int(entering[0])
-        colv = T[:m, j]
-        pos = colv > PIVOT_TOL
-        if not np.any(pos):
-            return UNBOUNDED
-        ratios = np.full(m, np.inf)
-        ratios[pos] = T[:m, -1][pos] / colv[pos]
-        best = float(ratios.min())
-        # exact float equality would miss true degenerate ties and void the
-        # anti-cycling guarantee; widen the tie set by a relative tolerance
-        cand = np.nonzero(ratios <= best + RATIO_TIE_TOL * (1.0 + abs(best)))[0]
-        r = int(cand[np.argmin(basis[cand])])
-        _pivot(T, r, j)
-        basis[r] = j
-    raise PivotLimitError(f"simplex exceeded {max_pivots} pivots")
-
-
-def _phase_one(A: np.ndarray, b: np.ndarray, max_pivots: int):
-    """Find a basic feasible solution of A x = b, x >= 0.
-
-    Returns (status, tableau, basis) where the tableau has the artificial
-    columns already removed and a zeroed objective row.
-    """
-    m, n = A.shape
-    A = A.copy()
-    b = b.copy()
-    neg = b < 0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    basis = np.arange(n, n + m)
-    # price out the artificial objective (unit cost on each artificial)
-    T[-1, :] = -T[:m, :].sum(axis=0)
-    T[-1, n:n + m] = 0.0
-    status = _bland_loop(T, basis, allowed=n, max_pivots=max_pivots)
-    if status != OPTIMAL:  # artificial objective is bounded below by 0
-        raise AssertionError("phase one cannot be unbounded")
-    if -T[-1, -1] > PHASE1_TOL:
-        return INFEASIBLE, None, None
-    # drive any remaining artificials out of the basis
-    drop_rows = []
-    for r in range(m):
-        if basis[r] >= n:
-            structural = np.nonzero(np.abs(T[r, :n]) > PIVOT_TOL)[0]
-            if structural.size:
-                _pivot(T, r, int(structural[0]))
-                basis[r] = int(structural[0])
-            else:
-                drop_rows.append(r)
-    if drop_rows:
-        keep = [r for r in range(m) if r not in drop_rows]
-        T = T[keep + [m]]
-        basis = basis[keep]
-    T = np.delete(T, np.s_[n:n + m], axis=1)
-    T[-1, :] = 0.0
-    return FEASIBLE, T, basis
-
-
-def _extract(T: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
-    x = np.zeros(n)
-    x[basis] = T[:-1, -1]
-    return x
+def _highs(p: LpProblem, max_pivots: int) -> LpSolution:
+    """The one HiGHS call behind both `solve` and `feasible`."""
+    res = linprog(
+        p.c, A_eq=p.A, b_eq=p.b, bounds=(0, None), method="highs-ds",
+        options={"maxiter": max_pivots,
+                 "primal_feasibility_tolerance": PRIMAL_FEAS_TOL,
+                 "dual_feasibility_tolerance": DUAL_FEAS_TOL},
+    )
+    n = p.c.shape[0]
+    if res.status == 0:
+        return LpSolution(OPTIMAL, float(p.c @ res.x), res.x)
+    if res.status == 1:
+        raise PivotLimitError(f"simplex exceeded {max_pivots} pivots")
+    if res.status == 2:
+        return LpSolution(INFEASIBLE, np.nan, np.full(n, np.nan))
+    if res.status == 3:
+        return LpSolution(UNBOUNDED, -np.inf, np.full(n, np.nan))
+    raise RuntimeError(f"HiGHS failed: {res.message}")
 
 
 def solve(p: LpProblem, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpSolution:
-    """Two-phase simplex; returns a basic optimal solution when one exists."""
-    kept, consistent = _independent_rows(p.A, p.b)
-    if not consistent:
-        return LpSolution(INFEASIBLE, np.nan, np.full(p.c.shape[0], np.nan))
-    A = p.A[kept]
-    b = p.b[kept]
-    n = p.c.shape[0]
-    if A.shape[0] == 0:
-        # no binding constraints: minimize over the nonnegative orthant
-        if np.any(p.c < -PIVOT_TOL):
-            return LpSolution(UNBOUNDED, -np.inf, np.full(n, np.nan))
-        return LpSolution(OPTIMAL, 0.0, np.zeros(n))
-    status, T, basis = _phase_one(A, b, max_pivots)
-    if status == INFEASIBLE:
-        return LpSolution(INFEASIBLE, np.nan, np.full(n, np.nan))
-    # phase two: price out the true objective against the current basis
-    T[-1, :n] = p.c
-    for r, j in enumerate(basis):
-        T[-1, :] -= p.c[j] * T[r, :]
-    status = _bland_loop(T, basis, allowed=n, max_pivots=max_pivots)
-    if status == UNBOUNDED:
-        return LpSolution(UNBOUNDED, -np.inf, np.full(n, np.nan))
-    x = _extract(T, basis, n)
-    return LpSolution(OPTIMAL, float(p.c @ x), x)
+    """Minimize c.x over A x = b, x >= 0; a basic optimal solution when one exists."""
+    return _highs(p, max_pivots)
 
 
 def feasible(A, b, max_pivots: int = DEFAULT_MAX_PIVOTS):
-    """Phase-one feasibility check: (FEASIBLE, x) or (INFEASIBLE, None)."""
-    prob = LpProblem(np.zeros(np.asarray(A).shape[1]), A, b)
-    kept, consistent = _independent_rows(prob.A, prob.b)
-    if not consistent:
+    """Feasibility check: (FEASIBLE, x) or (INFEASIBLE, None)."""
+    sol = _highs(LpProblem(np.zeros(np.shape(A)[1]), A, b), max_pivots)
+    if sol.status == INFEASIBLE:
         return INFEASIBLE, None
-    A2 = prob.A[kept]
-    b2 = prob.b[kept]
-    if A2.shape[0] == 0:
-        return FEASIBLE, np.zeros(prob.A.shape[1])
-    status, T, basis = _phase_one(A2, b2, max_pivots)
-    if status == INFEASIBLE:
-        return INFEASIBLE, None
-    return FEASIBLE, _extract(T, basis, prob.A.shape[1])
+    return FEASIBLE, sol.x

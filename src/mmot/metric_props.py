@@ -14,6 +14,7 @@ from itertools import combinations, permutations
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import lp
 from .core import Atom, JointMass
@@ -470,12 +471,14 @@ def no_gluing_check(p12: JointMass, p13: JointMass, p23: JointMass,
         if err > tol:
             raise ValueError(f"incompatible univariate marginals on {name} "
                              f"(max deviation {err:.3g})")
-    # unknowns r[i,j,k] flattened row-major; three marginal blocks
-    A = np.vstack([
-        np.tile(np.eye(m2 * m3), (1, m1)),
-        np.kron(np.eye(m1), np.tile(np.eye(m3), (1, m2))),
-        np.kron(np.eye(m1 * m2), np.ones((1, m3))),
-    ])
+    # unknowns r[i,j,k] flattened row-major; one row per cell of each
+    # bivariate marginal, in the blocks p23, p13, p12
+    n = m1 * m2 * m3
+    i, j, k = np.unravel_index(np.arange(n), (m1, m2, m3))
+    rows = np.concatenate([j * m3 + k, m2 * m3 + i * m3 + k,
+                           (m2 + m1) * m3 + i * m2 + j])
+    A = sp.csc_array((np.ones(3 * n), (rows, np.tile(np.arange(n), 3))),
+                     shape=(m2 * m3 + m1 * m3 + m1 * m2, n))
     b = np.concatenate([p23.entries.ravel(), p13.entries.ravel(),
                         p12.entries.ravel()])
     status, x = lp.feasible(A, b)

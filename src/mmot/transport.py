@@ -1,6 +1,6 @@
 """Exact transport distances on finite spaces: OT, MMOT, pairwise, barycenter.
 
-All four reduce to one dense LP over a coupling tensor with univariate
+All four reduce to one sparse LP over a coupling tensor with univariate
 marginal constraints.  ell enters through the cost (power trick); the
 pairwise variant is ell=1 only, where the bracket sum stays linear.
 """
@@ -13,6 +13,7 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import lp
 from .core import MAX_ENTRIES, DiscreteDistribution, JointMass, marginal
@@ -98,13 +99,19 @@ def euclidean_cost(p1: DiscreteDistribution, p2: DiscreteDistribution) -> np.nda
     return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
 
 
-def _marginal_constraints(shape: Sequence[int]):
-    """Equality system forcing every univariate marginal of the flat coupling."""
+def _marginal_constraints(shape: Sequence[int]) -> sp.csc_array:
+    """Equality system forcing every univariate marginal of the flat coupling.
+
+    One row per atom of each marginal, stacked axis by axis; each cell
+    of the coupling has a single 1 in every axis block.
+    """
     shape = tuple(int(m) for m in shape)
     n_cells = int(np.prod(shape))
     coords = np.unravel_index(np.arange(n_cells), shape)
-    blocks = [np.eye(m)[coords[axis]].T for axis, m in enumerate(shape)]
-    return np.vstack(blocks)
+    offsets = np.cumsum((0,) + shape[:-1])
+    rows = np.concatenate([off + idx for off, idx in zip(offsets, coords)])
+    cols = np.tile(np.arange(n_cells), len(shape))
+    return sp.csc_array((np.ones(rows.size), (rows, cols)), shape=(sum(shape), n_cells))
 
 
 def _powered_cost(d: np.ndarray, ell: int) -> np.ndarray:
@@ -130,8 +137,8 @@ def _solve_coupling(dists: Sequence[DiscreteDistribution], powered: np.ndarray):
     A = _marginal_constraints(shape)
     b = np.concatenate([p.masses for p in dists])
     c = powered.ravel()
-    # sentinel cells never enter the tableau: their magnitude would drown
-    # the finite entries, so they are excluded and only reinstated as an
+    # sentinel cells never enter the LP: their magnitude would drown the
+    # finite costs, so they are excluded and only reinstated as an
     # effectively-infinite verdict when nothing finite is feasible
     allowed = c < EFFECTIVELY_INFINITE
     if np.all(allowed):

@@ -9,6 +9,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mmot import lp
 
@@ -59,18 +60,21 @@ def test_matches_bfs_enumeration_on_seeded_instances():
     checked = 0
     for _ in range(60):
         c, A, b = random_feasible_lp(rng)
-        res = lp.solve(lp.LpProblem(c, A, b))
         oracle_val, _ = bfs_enumerate(c, A, b)
-        if res.status == lp.UNBOUNDED:
-            # the oracle cannot certify unboundedness; just require that
-            # some feasible point beats every basic feasible solution
-            continue
-        assert res.status == lp.OPTIMAL
-        assert oracle_val is not None
-        assert abs(res.value - oracle_val) <= 1e-8 * (1 + abs(oracle_val))
-        assert np.all(res.x >= -1e-9)
-        assert np.max(np.abs(A @ res.x - b)) <= 1e-8
-        checked += 1
+        # the same system given dense and as a sparse matrix
+        for A_in in (A, sparse.csc_array(A)):
+            res = lp.solve(lp.LpProblem(c, A_in, b))
+            if res.status == lp.UNBOUNDED:
+                # the oracle cannot certify unboundedness; just require that
+                # some feasible point beats every basic feasible solution
+                break
+            assert res.status == lp.OPTIMAL
+            assert oracle_val is not None
+            assert abs(res.value - oracle_val) <= 1e-8 * (1 + abs(oracle_val))
+            assert np.all(res.x >= -1e-9)
+            assert np.max(np.abs(A @ res.x - b)) <= 1e-8
+        else:
+            checked += 1
     assert checked >= 30
 
 
@@ -136,6 +140,13 @@ def test_redundant_rows_are_dropped():
     res = lp.solve(lp.LpProblem([1.0, 2.0], A, b))
     assert res.status == lp.OPTIMAL
     assert abs(res.value - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sparse_A_with_nonfinite_data_rejected(bad):
+    A = sparse.csc_array(np.array([[1.0, 0.0], [0.0, bad]]))
+    with pytest.raises(ValueError, match="A contains NaN"):
+        lp.LpProblem([1.0, 1.0], A, [1.0, 1.0])
 
 
 def test_pivot_cap_raises():

@@ -246,6 +246,26 @@ class TestNoGluingCheck:
         np.testing.assert_allclose(marginal(w, [0, 2]).entries, p13.entries, atol=1e-8)
         np.testing.assert_allclose(marginal(w, [1, 2]).entries, p23.entries, atol=1e-8)
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 4), (4, 1, 3), (3, 2, 1)])
+    def test_system_matches_dense_build(self, monkeypatch, shape):
+        from mmot import lp
+        from mmot.core import marginal
+
+        m1, m2, m3 = shape
+        raw = np.random.default_rng(5).uniform(0.05, 1.0, size=shape)
+        j = JointMass(raw / raw.sum())
+        seen = []
+        feasible = lp.feasible
+        monkeypatch.setattr(lp, "feasible", lambda A, b: seen.append(A) or feasible(A, b))
+        assert no_gluing_check(marginal(j, [0, 1]), marginal(j, [0, 2]),
+                               marginal(j, [1, 2])).feasible
+        dense = np.vstack([
+            np.tile(np.eye(m2 * m3), (1, m1)),
+            np.kron(np.eye(m1), np.tile(np.eye(m3), (1, m2))),
+            np.kron(np.eye(m1 * m2), np.ones((1, m3))),
+        ])
+        np.testing.assert_array_equal(seen[0].toarray(), dense)
+
     def test_incompatible_marginals_rejected_early(self):
         p12 = JointMass(np.array([[0.5, 0.0], [0.0, 0.5]]))
         p13 = JointMass(np.array([[0.1, 0.4], [0.4, 0.1]]))

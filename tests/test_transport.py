@@ -15,6 +15,7 @@ from mmot.transport import (
     EFFECTIVELY_INFINITE,
     SENTINEL_COST,
     PairwiseCost,
+    _marginal_constraints,
     barycenter_mmot,
     euclidean_cost,
     lower_bound_pairwise,
@@ -63,6 +64,15 @@ def random_planar(rng, max_atoms=4):
     m = rng.uniform(0.1, 1.0, size=n)
     m /= m.sum()
     return DiscreteDistribution([Atom.point(x, y) for x, y in pts], m)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (2, 3), (4, 1), (3, 2, 4), (1, 5, 2), (2, 2, 2, 3), (3, 1, 2, 2)]
+)
+def test_marginal_constraints_match_dense_build(shape):
+    coords = np.unravel_index(np.arange(int(np.prod(shape))), shape)
+    dense = np.vstack([np.eye(m)[coords[axis]].T for axis, m in enumerate(shape)])
+    np.testing.assert_array_equal(_marginal_constraints(shape).toarray(), dense)
 
 
 class TestWasserstein:
