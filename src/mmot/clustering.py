@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -101,24 +100,28 @@ def _affinities(weights: np.ndarray) -> np.ndarray:
     return np.exp(-weights / sigma)
 
 
-def _check_support(degrees: np.ndarray, support: np.ndarray, k: int) -> np.ndarray:
-    isolated = np.nonzero(degrees <= 0.0)[0]
+def _spectral_labels(M: np.ndarray, d: np.ndarray, support: np.ndarray, k: int,
+                     rng: np.random.Generator | None,
+                     random_walk: bool) -> ClusteringSolution:
+    """k-means on the k smallest eigenvectors of L = I - D^-1/2 M D^-1/2.
+
+    The support graph must reach every vertex and split into at most k
+    components.  Pairwise clustering maps the symmetric eigenvectors
+    back to the random-walk ones; the hypergraph methods row-normalize.
+    """
+    isolated = np.nonzero(d <= 0.0)[0]
     if isolated.size:
         raise ValueError(f"isolated vertices: {isolated.tolist()}")
-    support = support.copy()
-    np.fill_diagonal(support, False)
     c, _ = connected_components(support, directed=False)
     if c > k:
         raise ValueError(f"affinity graph splits into {c} components, more than k={k}")
-    return degrees
-
-
-def _embed_symmetric(L: np.ndarray, k: int, row_normalize: bool) -> np.ndarray:
+    dinv = 1.0 / np.sqrt(d)
+    L = np.eye(len(d)) - dinv[:, None] * M * dinv[None, :]
     _, vecs = eig_symmetric(L, k=k, which="smallest")
-    if row_normalize:
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        vecs = vecs / np.maximum(norms, 1e-300)
-    return vecs
+    if random_walk:
+        return kmeans(dinv[:, None] * vecs, k, rng)
+    norms = np.linalg.norm(vecs, axis=1, keepdims=True)
+    return kmeans(vecs / np.maximum(norms, 1e-300), k, rng)
 
 
 def ttm(h: Hypergraph3, k: int, rng: np.random.Generator | None = None) -> ClusteringSolution:
@@ -132,32 +135,20 @@ def ttm(h: Hypergraph3, k: int, rng: np.random.Generator | None = None) -> Clust
         for u, v in ((i, j), (i, kk), (j, kk)):
             A[u, v] += a
             A[v, u] += a
-    deg = A.sum(axis=1)
-    _check_support(deg, A > 0.0, k)
-    dinv = 1.0 / np.sqrt(deg)
-    L = np.eye(h.n) - dinv[:, None] * A * dinv[None, :]
-    rows = _embed_symmetric(L, k, row_normalize=True)
-    return kmeans(rows, k, rng)
+    return _spectral_labels(A, A.sum(axis=1), A > 0.0, k, rng, random_walk=False)
 
 
 def nhcut(h: Hypergraph3, k: int, rng: np.random.Generator | None = None) -> ClusteringSolution:
     """Normalized hypergraph cut via the incidence-based Laplacian."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    m = h.num_edges
-    H = np.zeros((h.n, m))
+    H = np.zeros((h.n, h.num_edges))
     for col, ((i, j, kk), _) in enumerate(h.hyperedges):
         H[[i, j, kk], col] = 1.0
     w = _affinities(np.array([wt for _, wt in h.hyperedges]))
-    dv = H @ w
-    co = (H @ H.T) > 0.0
-    _check_support(dv, co, k)
-    de = H.sum(axis=0)  # 3 per hyperedge
-    dinv = 1.0 / np.sqrt(dv)
-    inner = (H * (w / de)[None, :]) @ H.T
-    L = np.eye(h.n) - dinv[:, None] * inner * dinv[None, :]
-    rows = _embed_symmetric(L, k, row_normalize=True)
-    return kmeans(rows, k, rng)
+    # every hyperedge has degree 3
+    inner = (H * (w / 3.0)[None, :]) @ H.T
+    return _spectral_labels(inner, H @ w, (H @ H.T) > 0.0, k, rng, random_walk=False)
 
 
 def spectral_cluster(D: DistanceTensor, k: int,
@@ -178,13 +169,7 @@ def spectral_cluster(D: DistanceTensor, k: int,
         for (key, _), a in zip(sorted(finite.items()), aff):
             i, j = key
             A[i, j] = A[j, i] = a
-    deg = A.sum(axis=1)
-    _check_support(deg, A > 0.0, k)
-    dinv = 1.0 / np.sqrt(deg)
-    L = np.eye(D.size) - dinv[:, None] * A * dinv[None, :]
-    vecs = _embed_symmetric(L, k, row_normalize=False)
-    # symmetrized eigenvectors map back to the random-walk ones
-    return kmeans(dinv[:, None] * vecs, k, rng)
+    return _spectral_labels(A, A.sum(axis=1), A > 0.0, k, rng, random_walk=True)
 
 
 def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -268,16 +253,6 @@ def _confusion(pred: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
     return c
 
 
-def _best_matches_brute(conf: np.ndarray) -> int:
-    k = conf.shape[0]
-    return max(sum(conf[a, perm[a]] for a in range(k)) for perm in permutations(range(k)))
-
-
-def _best_matches_hungarian(conf: np.ndarray) -> int:
-    rows, cols = linear_sum_assignment(-conf)
-    return int(conf[rows, cols].sum())
-
-
 def clustering_error(pred, truth) -> float:
     """Mismatch fraction minimized over relabelings of the prediction."""
     p, kp = _as_labels(pred)
@@ -288,11 +263,8 @@ def clustering_error(pred, truth) -> float:
         raise ValueError("empty labelings")
     k = max(kp, kt)
     conf = _confusion(p, t, k)
-    if k <= 8:
-        matched = _best_matches_brute(conf)
-    else:
-        matched = _best_matches_hungarian(conf)
-    return 1.0 - matched / p.size
+    rows, cols = linear_sum_assignment(-conf)
+    return 1.0 - int(conf[rows, cols].sum()) / p.size
 
 
 def tune_threshold(

@@ -26,30 +26,38 @@ __all__ = [
 VALIDATE_TOL = 1e-8
 
 
-def _area(p: tuple, q: tuple, r: tuple) -> float:
-    return 0.5 * abs((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
+def _areas(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """Triangle areas over the grid of three (m, 2) coordinate arrays."""
+    # half the cross product of the two edges leaving the first vertex
+    u = c1[None, :, None, :] - c0[:, None, None, :]
+    v = c2[None, None, :, :] - c0[:, None, None, :]
+    return 0.5 * np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
 
 
-def triangle_area_cost(points: Sequence[Atom], gamma: float) -> np.ndarray:
-    """Cost tensor: 0 if all three equal, gamma if exactly two, else area."""
-    if gamma <= 0:
+def triangle_area_cost(supports: Sequence[Sequence[Atom]],
+                       gamma: float | None) -> np.ndarray:
+    """Cost over three atom lists: 0 if all three atoms are equal, gamma if
+    exactly two are, else the area of their triangle.
+
+    gamma None takes half the smallest positive area (1e-9 when no
+    triangle has one), so coincidence penalties never dominate real
+    triangles.
+    """
+    if gamma is not None and gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    m = len(points)
-    coords = [p.coords() for p in points]
-    cost = np.zeros((m, m, m))
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                ab = points[a] == points[b]
-                ac = points[a] == points[c]
-                bc = points[b] == points[c]
-                if ab and ac:
-                    cost[a, b, c] = 0.0
-                elif ab or ac or bc:
-                    cost[a, b, c] = gamma
-                else:
-                    cost[a, b, c] = _area(coords[a], coords[b], coords[c])
-    return cost
+    a0, a1, a2 = supports
+    areas = _areas(*(np.array([a.coords() for a in atoms]) for atoms in supports))
+    eq01 = np.array([[x == y for y in a1] for x in a0])
+    eq02 = np.array([[x == y for y in a2] for x in a0])
+    eq12 = np.array([[x == y for y in a2] for x in a1])
+    n_eq = (eq01[:, :, None].astype(int)
+            + eq02[:, None, :].astype(int)
+            + eq12[None, :, :].astype(int))
+    if gamma is None:
+        positive = areas[areas > 1e-12]
+        gamma = 0.5 * float(positive.min()) if positive.size else 1e-9
+    cost = np.where(n_eq >= 1, gamma, areas)
+    return np.where(n_eq == 3, 0.0, cost)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,15 +79,16 @@ class PlanarInstance:
     margin: float
 
     def cost(self) -> np.ndarray:
-        return triangle_area_cost(self.points, self.gamma)
+        return triangle_area_cost([self.points] * 3, self.gamma)
 
 
 def _check_geometry(coords: list[tuple], gamma: float) -> None:
     for a, b in combinations(range(len(coords)), 2):
         if np.hypot(coords[a][0] - coords[b][0], coords[a][1] - coords[b][1]) < 1e-12:
             raise RuntimeError(f"points {a} and {b} coincide")
-    min_area = min(_area(coords[a], coords[b], coords[c])
-                   for a, b, c in combinations(range(len(coords)), 3))
+    c = np.array(coords)
+    areas = _areas(c, c, c)
+    min_area = min(areas[t] for t in combinations(range(len(coords)), 3))
     if min_area < 1e-12:
         raise RuntimeError("three of the points are collinear")
     if gamma > min_area + 1e-12:
@@ -120,7 +129,7 @@ def planar_counterexample(epsilon: float) -> PlanarInstance:
         (0, 2, 3): 0.125 + e / 4.0,
         (1, 2, 3): 0.125 + e / 4.0,
     }
-    cost = triangle_area_cost(points, gamma)
+    cost = triangle_area_cost([points] * 3, gamma)
     w_values: dict[tuple[int, ...], float] = {}
     for trip, want in expected.items():
         sub = cost[np.ix_(*(idx[t] for t in trip))]

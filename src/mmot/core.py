@@ -85,15 +85,12 @@ class DiscreteDistribution:
     atoms: tuple
     masses: np.ndarray = field(repr=False)
 
-    def __init__(self, atoms: Sequence[Atom], masses: Iterable[float], _allow_zero: bool = False):
+    def __init__(self, atoms: Sequence[Atom], masses: Iterable[float]):
         atoms = tuple(atoms)
         masses = np.asarray(list(masses), dtype=float)
         if len(atoms) != masses.shape[0] or masses.ndim != 1 or len(atoms) == 0:
             raise ValueError("atoms and masses must be equal-length nonempty sequences")
-        if _allow_zero:
-            if np.any(masses < 0):
-                raise ValueError("masses must be nonnegative")
-        elif np.any(masses <= 0):
+        if np.any(masses <= 0):
             raise ValueError("masses must be strictly positive")
         _check_total_mass(float(masses.sum()), "masses")
         masses = masses / masses.sum()
@@ -104,11 +101,6 @@ class DiscreteDistribution:
         masses.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "masses", masses)
-
-    @classmethod
-    def allowing_zero_masses(cls, atoms: Sequence[Atom], masses: Iterable[float]) -> "DiscreteDistribution":
-        """Relaxed constructor permitting zero masses (degenerate instances only)."""
-        return cls(atoms, masses, _allow_zero=True)
 
     @property
     def size(self) -> int:

@@ -35,9 +35,9 @@ from .clustering import (
     ttm,
     tune_threshold,
 )
-from .constructions import collinear_instance, planar_counterexample
+from .constructions import collinear_instance, planar_counterexample, triangle_area_cost
 from .core import Atom, DiscreteDistribution, JointMass, braket, conditional, glue, marginal
-from .graphs import DEFAULT_FAMILIES, generate, load_graph, perturb, signature
+from .graphs import DEFAULT_FAMILIES, Graph, generate, load_graph, perturb, signature
 from .metric_props import (
     DistanceTensor,
     check_W_tensor,
@@ -67,7 +67,6 @@ __all__ = [
     "build_corpus",
     "signature_distribution",
     "compute_tensor",
-    "empirical_C_pairs",
     "cmd_distances",
     "cmd_cluster",
     "cmd_inject",
@@ -292,34 +291,6 @@ def signature_distribution(sig) -> DiscreteDistribution:
     return DiscreteDistribution(atoms, masses)
 
 
-def _check_backend_ell(backend: str, ell: int) -> None:
-    if backend in ("wd_pairwise", "mmot_pairwise", "mmot_barycenter") and ell != 1:
-        raise ValueError(f"backend {backend!r} supports ell=1 only, got ell={ell}")
-
-
-def _area_cost_tensor(ps: Sequence[DiscreteDistribution]) -> np.ndarray:
-    """Triangle-area cost across three supports; gamma = half the smallest
-    positive area so coincidence penalties never dominate real triangles."""
-    a0, a1, a2 = (p.atoms for p in ps)
-    c0 = np.array([a.coords() for a in a0])
-    c1 = np.array([a.coords() for a in a1])
-    c2 = np.array([a.coords() for a in a2])
-    # 2x area via the cross product, vectorized over the grid
-    u = c1[None, :, None, :] - c0[:, None, None, :]
-    v = c2[None, None, :, :] - c0[:, None, None, :]
-    areas = 0.5 * np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
-    eq01 = np.array([[x == y for y in a1] for x in a0])
-    eq02 = np.array([[x == y for y in a2] for x in a0])
-    eq12 = np.array([[x == y for y in a2] for x in a1])
-    n_eq = (eq01[:, :, None].astype(int)
-            + eq02[:, None, :].astype(int)
-            + eq12[None, :, :].astype(int))
-    positive = areas[areas > 1e-12]
-    gamma = 0.5 * float(positive.min()) if positive.size else 1e-9
-    cost = np.where(n_eq >= 1, gamma, areas)
-    return np.where(n_eq == 3, 0.0, cost)
-
-
 def _tuple_distance(backend: str, ps: Sequence[DiscreteDistribution], ell: int) -> float:
     if backend == "wd_pairwise":
         p, q = ps
@@ -339,7 +310,8 @@ def _tuple_distance(backend: str, ps: Sequence[DiscreteDistribution], ell: int) 
         base = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
         return barycenter_mmot(list(ps), omega, base).value
     if backend == "mmot_nonmetric":
-        return mmot(list(ps), _area_cost_tensor(ps), ell=ell).value
+        return mmot(list(ps), triangle_area_cost([p.atoms for p in ps], None),
+                    ell=ell).value
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -387,7 +359,6 @@ def _blocked_triples(n: int, budget: int, rng: np.random.Generator) -> list[tupl
 def compute_tensor(config: ExperimentConfig,
                    dists: Sequence[DiscreteDistribution]) -> DistanceTensor:
     """Fill a distance tensor over seeded sampled index tuples."""
-    _check_backend_ell(config.backend, config.ell)
     order = 2 if config.backend == "wd_pairwise" else 3
     budget = config.pairs_budget if order == 2 else config.triples_budget
     n = len(dists)
@@ -408,26 +379,6 @@ def compute_tensor(config: ExperimentConfig,
     return T
 
 
-def empirical_C_pairs(T: DistanceTensor, tol: float = 1e-12) -> float | None:
-    """Smallest (d_ik+d_kj)/d_ij over sampled triangles; None if none usable."""
-    if T.order != 2:
-        raise ValueError("need an order-2 tensor")
-    best = None
-    for i, j, k in combinations(range(T.size), 3):
-        pairs = [(i, j), (i, k), (j, k)]
-        if not all(p in T.sampled for p in pairs):
-            continue
-        d = {p: T.values[p] for p in pairs}
-        for (a, b), (x, y), (s, t) in ((pairs[0], pairs[1], pairs[2]),
-                                       (pairs[1], pairs[0], pairs[2]),
-                                       (pairs[2], pairs[0], pairs[1])):
-            if d[(a, b)] > tol:
-                ratio = (d[(x, y)] + d[(s, t)]) / d[(a, b)]
-                if best is None or ratio < best:
-                    best = ratio
-    return best
-
-
 def _write_json(path: str, data: object) -> None:
     with open(path, "w") as fh:
         json.dump(data, fh, sort_keys=True, indent=2)
@@ -437,7 +388,6 @@ def _write_json(path: str, data: object) -> None:
 def cmd_distances(config: ExperimentConfig) -> dict:
     """Build the corpus, compute signatures, and write one distance tensor."""
     started = time.monotonic()
-    _check_backend_ell(config.backend, config.ell)
     corpus = build_corpus(config)
     dists = [signature_distribution(signature(cg.graph, config.top_k)) for cg in corpus]
     T = compute_tensor(config, dists)
@@ -549,7 +499,6 @@ def cmd_cluster(config: ExperimentConfig, tensor_path: str) -> tuple[ExperimentR
             errors.append(err)
             thresholds.append(th)
     counts, edges = np.histogram(np.array(errors), bins=10, range=(0.0, 1.0))
-    emp_c = (check_W_tensor(T).empirical_C if T.order == 3 else empirical_C_pairs(T))
     report = ExperimentReport(
         backend=config.backend,
         clusterer=config.clusterer,
@@ -561,7 +510,7 @@ def cmd_cluster(config: ExperimentConfig, tensor_path: str) -> tuple[ExperimentR
         median_error=float(np.median(np.array(errors))),
         histogram_edges=tuple(float(e) for e in edges),
         histogram_counts=tuple(int(c) for c in counts),
-        empirical_C=emp_c,
+        empirical_C=check_W_tensor(T).empirical_C,
         work={"clusterings": config.trials},
     )
     os.makedirs(config.out_dir, exist_ok=True)

@@ -2,8 +2,9 @@
 
 Covers four jobs: exhaustive metric checks on pairwise costs, the
 generalized (n, C)-metric check on a shared cost tensor, the same check
-on a sampled tensor of transport values, and the feasibility probe for
-reconstructing a joint from three bivariate masses.
+on a sampled order-2 or order-3 tensor of transport values, and the
+feasibility probe for reconstructing a joint from three bivariate
+masses.
 """
 from __future__ import annotations
 
@@ -344,24 +345,24 @@ def leave_one_out_ratios(
 
 def check_W_tensor(T: DistanceTensor, C: float = 1.0,
                    slack: float = TRIANGLE_SLACK) -> MetricReport:
-    """Scan every fully sampled 4-subset for generalized triangle failures.
+    """Scan every fully sampled (order+1)-subset for generalized triangle failures.
 
-    All four leave-one-out roles of each subset are checked; empirical_C
-    is the smallest ratio seen over roles with nonzero left side.
+    Each entry of a subset is checked against the sum of the others: the
+    classical triangle inequality for order 2, the generalized one for
+    order 3.  empirical_C is the smallest ratio seen over roles with
+    nonzero left side.
     """
-    if T.order != 3:
-        raise ValueError("check_W_tensor needs an order-3 tensor")
     rep = MetricReport(nonnegative=True, symmetric=True, triangle=True)
     if any(v < 0 for v in T.values.values()):
         rep.nonnegative = False
     best: float | None = None
-    for subset in combinations(range(T.size), 4):
-        triples = list(combinations(subset, 3))
-        if not all(t in T.sampled for t in triples):
+    for subset in combinations(range(T.size), T.order + 1):
+        keys = list(combinations(subset, T.order))
+        if not all(t in T.sampled for t in keys):
             continue
-        vals = {t: T.values[t] for t in triples}
+        vals = {t: T.values[t] for t in keys}
         total = sum(vals.values())
-        for t in triples:
+        for t in keys:
             rep.n_checked += 1
             lhs = vals[t]
             rhs = total - lhs
@@ -383,7 +384,6 @@ def inject_violations(
     rng: np.random.Generator,
     fraction: float = 0.20,
     factor: float = 1.3,
-    count_all_entries: bool = False,
 ) -> DistanceTensor:
     """Rewrite sampled entries until `fraction` of them break the C=1 bound.
 
@@ -393,8 +393,7 @@ def inject_violations(
     locked against later rewrites: raising a triple that sits on the
     right-hand side of an earlier violation would shrink that violation's
     margin, possibly erasing it.  Raises too small to clear the audit
-    slack are skipped.  The denominator counts sampled entries unless
-    count_all_entries is set.
+    slack are skipped.  The fraction counts sampled entries.
     """
     if T.order != 3:
         raise ValueError("inject_violations needs an order-3 tensor")
@@ -403,8 +402,7 @@ def inject_violations(
     if factor <= 1.0:
         raise ValueError(f"factor must exceed 1, got {factor}")
     out = T.copy()
-    base = math.comb(T.size, 3) if count_all_entries else len(T.sampled)
-    target = math.ceil(fraction * base)
+    target = math.ceil(fraction * len(T.sampled))
     if target == 0:
         return out
     locked: set[tuple[int, ...]] = set(out.modified)

@@ -9,10 +9,32 @@ from mmot.metric_props import leave_one_out_ratios
 from mmot.transport import mmot, pairwise_mmot
 
 
+def triangle_area_cost_oracle(points, gamma):
+    """Cell-by-cell build over one shared point list."""
+    m = len(points)
+    coords = [p.coords() for p in points]
+    cost = np.zeros((m, m, m))
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                ab = points[a] == points[b]
+                ac = points[a] == points[c]
+                bc = points[b] == points[c]
+                if ab and ac:
+                    cost[a, b, c] = 0.0
+                elif ab or ac or bc:
+                    cost[a, b, c] = gamma
+                else:
+                    p, q, r = coords[a], coords[b], coords[c]
+                    cost[a, b, c] = 0.5 * abs((q[0] - p[0]) * (r[1] - p[1])
+                                              - (q[1] - p[1]) * (r[0] - p[0]))
+    return cost
+
+
 class TestTriangleAreaCost:
     def test_hand_values(self):
         pts = [Atom.point(0, 0), Atom.point(1, 0), Atom.point(0, 1)]
-        cost = triangle_area_cost(pts, gamma=0.01)
+        cost = triangle_area_cost([pts] * 3, gamma=0.01)
         assert cost[0, 1, 2] == pytest.approx(0.5, abs=1e-15)
         assert cost[0, 0, 0] == 0.0
         assert cost[0, 0, 1] == 0.01
@@ -21,13 +43,30 @@ class TestTriangleAreaCost:
     def test_symmetric_in_all_arguments(self):
         rng = np.random.default_rng(3)
         pts = [Atom.point(x, y) for x, y in rng.uniform(-1, 1, size=(4, 2))]
-        cost = triangle_area_cost(pts, gamma=0.05)
+        cost = triangle_area_cost([pts] * 3, gamma=0.05)
         for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
             np.testing.assert_allclose(cost, np.transpose(cost, perm), atol=1e-15)
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
-            triangle_area_cost([Atom.point(0, 0)], gamma=0.0)
+            triangle_area_cost([[Atom.point(0, 0)]] * 3, gamma=0.0)
+
+    def test_matches_cell_by_cell_oracle(self):
+        # same arithmetic in the same order, so equal to the last bit
+        inst = planar_counterexample(0.01)
+        np.testing.assert_array_equal(
+            inst.cost(), triangle_area_cost_oracle(inst.points, inst.gamma))
+
+    def test_derived_gamma_is_half_the_smallest_area(self):
+        s0 = [Atom.point(0, 0), Atom.point(2, 0)]
+        s1 = [Atom.point(2, 0), Atom.point(0, 1)]
+        s2 = [Atom.point(0, 1), Atom.point(3, 3)]
+        cost = triangle_area_cost([s0, s1, s2], gamma=None)
+        # the smallest proper triangle, (0,0)-(2,0)-(0,1), has area 1
+        assert cost[0, 0, 0] == 1.0
+        assert cost[1, 0, 0] == 0.5  # (2,0) twice
+        assert cost[0, 1, 0] == 0.5  # (0,1) twice
+        assert cost[1, 1, 1] == 3.5
 
 
 class TestPlanarCounterexample:

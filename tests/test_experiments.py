@@ -1,11 +1,16 @@
 """Experiment pipeline: config parsing, seed streams, corpus, tensors."""
 
+import dataclasses
+import importlib
 import json
+import pkgutil
+import typing
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import mmot
 from mmot.core import Atom
 from mmot.experiments import (
     ExperimentConfig,
@@ -15,13 +20,12 @@ from mmot.experiments import (
     cmd_distances,
     compute_tensor,
     derive_seed,
-    empirical_C_pairs,
     parse_config_text,
     signature_distribution,
     splitmix64,
 )
 from mmot.graphs import signature
-from mmot.metric_props import DistanceTensor
+from mmot.metric_props import DistanceTensor, check_W_tensor
 
 
 class TestSeeds:
@@ -253,6 +257,18 @@ class TestBlockedSampling:
         assert a.values == b.values
 
 
+def test_every_dataclass_type_hint_resolves():
+    checked = 0
+    for info in pkgutil.iter_modules(mmot.__path__):
+        module = importlib.import_module(f"mmot.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__):
+                typing.get_type_hints(obj)
+                checked += 1
+    assert checked >= 10
+
+
 class TestEmpiricalCPairs:
     def test_equally_spaced_line_attains_one(self):
         # d(0,2) = d(0,1) + d(1,2) exactly on a line
@@ -260,12 +276,12 @@ class TestEmpiricalCPairs:
         T.set((0, 1), 1.0)
         T.set((1, 2), 1.0)
         T.set((0, 2), 2.0)
-        assert empirical_C_pairs(T) == pytest.approx(1.0, abs=1e-12)
+        assert check_W_tensor(T).empirical_C == pytest.approx(1.0, abs=1e-12)
 
     def test_unsampled_pairs_are_skipped(self):
         T = DistanceTensor(2, 4)
         T.set((0, 1), 1.0)
-        assert empirical_C_pairs(T) is None
+        assert check_W_tensor(T).empirical_C is None
 
 
 class TestPipelineFiles:

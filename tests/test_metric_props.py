@@ -174,6 +174,19 @@ class TestCheckWTensor:
         assert not rep.triangle
         assert any(tuple(v["lhs"]) == key for v in rep.violations)
 
+    def test_order_two_strict_triangle_violation(self):
+        T = DistanceTensor(2, 3)
+        T.set((0, 1), 1.0)
+        T.set((1, 2), 1.0)
+        T.set((0, 2), 2.5)
+        rep = check_W_tensor(T)
+        assert not rep.triangle
+        assert [v["lhs"] for v in rep.violations] == [[0, 2]]
+        assert rep.violations[0]["margin"] == pytest.approx(-0.5, abs=1e-12)
+        # three roles of the one sampled triangle
+        assert rep.n_checked == 3
+        assert rep.empirical_C == pytest.approx(0.8, abs=1e-12)
+
     def test_partial_sampling_skips_incomplete_subsets(self):
         T = DistanceTensor(3, 5)
         T.set((0, 1, 2), 1.0)
