@@ -10,8 +10,9 @@ through an explicit generator and runs repeat bit for bit.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,15 +47,35 @@ class Hypergraph3:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"need at least one node, got {self.n}")
-        seen: set[tuple[int, int, int]] = set()
-        for (i, j, k), w in self.hyperedges:
-            if not 0 <= i < j < k < self.n:
-                raise ValueError(f"hyperedge {(i, j, k)} not strictly increasing in range")
-            if (i, j, k) in seen:
-                raise ValueError(f"duplicate hyperedge {(i, j, k)}")
-            seen.add((i, j, k))
-            if not (math.isfinite(w) and w >= 0.0):
-                raise ValueError(f"hyperedge {(i, j, k)} has invalid weight {w}")
+        idx, w = self._edge_arrays
+        bad_range = ~((0 <= idx[:, 0]) & (idx[:, 0] < idx[:, 1])
+                      & (idx[:, 1] < idx[:, 2]) & (idx[:, 2] < self.n))
+        # codes are unique among in-range triples; a clash with an
+        # out-of-range triple flags only edges after that failing one
+        code = (idx[:, 0] * self.n + idx[:, 1]) * self.n + idx[:, 2]
+        duplicate = np.ones(len(code), dtype=bool)
+        duplicate[np.unique(code, return_index=True)[1]] = False
+        bad_weight = ~(np.isfinite(w) & (w >= 0.0))
+        bad = np.nonzero(bad_range | duplicate | bad_weight)[0]
+        if bad.size:
+            # name the first bad hyperedge, testing range, then duplicate,
+            # then weight, as an edge-by-edge scan would
+            e = bad[0]
+            edge, wt = tuple(self.hyperedges[e][0]), self.hyperedges[e][1]
+            if bad_range[e]:
+                raise ValueError(f"hyperedge {edge} not strictly increasing in range")
+            if duplicate[e]:
+                raise ValueError(f"duplicate hyperedge {edge}")
+            raise ValueError(f"hyperedge {edge} has invalid weight {wt}")
+
+    @cached_property
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The hyperedges as an (m, 3) index array and an (m,) weight array."""
+        keys, weights = zip(*self.hyperedges) if self.hyperedges else ((), ())
+        if any(len(key) != 3 for key in keys):
+            raise ValueError("every hyperedge needs exactly three vertices")
+        idx = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=3 * len(keys))
+        return idx.reshape(-1, 3), np.array(weights, dtype=float)
 
     @property
     def num_edges(self) -> int:
@@ -128,13 +149,15 @@ def ttm(h: Hypergraph3, k: int, rng: np.random.Generator | None = None) -> Clust
     """Tensor-trace maximization: contract the affinity tensor, then spectral."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    weights = np.array([w for _, w in h.hyperedges])
+    idx, weights = h._edge_arrays
     aff = _affinities(weights)
-    A = np.zeros((h.n, h.n))
-    for ((i, j, kk), _), a in zip(h.hyperedges, aff):
-        for u, v in ((i, j), (i, kk), (j, kk)):
-            A[u, v] += a
-            A[v, u] += a
+    # per hyperedge the cells (i,j), (j,i), (i,k), (k,i), (j,k), (k,j);
+    # bincount adds in input order, so each cell sums edge by edge
+    u = idx[:, [0, 0, 1]]
+    v = idx[:, [1, 2, 2]]
+    cells = np.stack([u * h.n + v, v * h.n + u], axis=2).ravel()
+    A = np.bincount(cells, weights=np.repeat(aff, 6),
+                    minlength=h.n * h.n).reshape(h.n, h.n)
     return _spectral_labels(A, A.sum(axis=1), A > 0.0, k, rng, random_walk=False)
 
 
@@ -142,10 +165,10 @@ def nhcut(h: Hypergraph3, k: int, rng: np.random.Generator | None = None) -> Clu
     """Normalized hypergraph cut via the incidence-based Laplacian."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
+    idx, weights = h._edge_arrays
     H = np.zeros((h.n, h.num_edges))
-    for col, ((i, j, kk), _) in enumerate(h.hyperedges):
-        H[[i, j, kk], col] = 1.0
-    w = _affinities(np.array([wt for _, wt in h.hyperedges]))
+    H[idx, np.arange(h.num_edges)[:, None]] = 1.0
+    w = _affinities(weights)
     # every hyperedge has degree 3
     inner = (H * (w / 3.0)[None, :]) @ H.T
     return _spectral_labels(inner, H @ w, (H @ H.T) > 0.0, k, rng, random_walk=False)
@@ -164,11 +187,11 @@ def spectral_cluster(D: DistanceTensor, k: int,
     finite = {key: v for key, v in D.values.items() if key in D.sampled and v < SENTINEL}
     A = np.zeros((D.size, D.size))
     if finite:
-        sigma_pool = np.array([v for _, v in sorted(finite.items())])
-        aff = _affinities(sigma_pool)
-        for (key, _), a in zip(sorted(finite.items()), aff):
-            i, j = key
-            A[i, j] = A[j, i] = a
+        items = sorted(finite.items())
+        i, j = np.array([key for key, _ in items]).T
+        aff = _affinities(np.array([v for _, v in items]))
+        A[i, j] = aff
+        A[j, i] = aff
     return _spectral_labels(A, A.sum(axis=1), A > 0.0, k, rng, random_walk=True)
 
 

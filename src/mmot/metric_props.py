@@ -350,31 +350,51 @@ def check_W_tensor(T: DistanceTensor, C: float = 1.0,
     Each entry of a subset is checked against the sum of the others: the
     classical triangle inequality for order 2, the generalized one for
     order 3.  empirical_C is the smallest ratio seen over roles with
-    nonzero left side.
+    nonzero left side.  The sampled entries go into one dense
+    (size,)*order array; subsets are then scanned in lexicographic order,
+    one block per smallest index, so the scan holds one block at a time.
     """
     rep = MetricReport(nonnegative=True, symmetric=True, triangle=True)
     if any(v < 0 for v in T.values.values()):
         rep.nonnegative = False
+    order = T.order
+    # sampled entries at their increasing index; NaN marks the rest
+    dense = np.full((T.size,) * order, np.nan)
+    for key in T.sampled:
+        dense[key] = T.values[key]
+    # the tails of every block: increasing order-tuples over 1..size-1,
+    # lexicographic, so the tails above index i form a suffix
+    tails = np.array(list(combinations(range(1, T.size), order)),
+                     dtype=np.intp).reshape(-1, order)
+    # role r leaves out subset position order - r, matching the order
+    # of combinations(subset, order)
+    roles = [[p for p in range(order + 1) if p != order - r] for r in range(order + 1)]
     best: float | None = None
-    for subset in combinations(range(T.size), T.order + 1):
-        keys = list(combinations(subset, T.order))
-        if not all(t in T.sampled for t in keys):
-            continue
-        vals = {t: T.values[t] for t in keys}
-        total = sum(vals.values())
-        for t in keys:
-            rep.n_checked += 1
-            lhs = vals[t]
-            rhs = total - lhs
-            if C * lhs > rhs + slack:
-                rep.triangle = False
-                rep.violations.append({"kind": "triangle",
-                                       "where": list(subset), "lhs": list(t),
-                                       "margin": float(rhs - C * lhs)})
-            if lhs > ZERO_TOL:
-                ratio = rhs / lhs
-                if best is None or ratio < best:
-                    best = ratio
+    for first in range(T.size - order):
+        block = tails[np.searchsorted(tails[:, 0], first, side="right"):]
+        subsets = np.column_stack([np.full(len(block), first, dtype=np.intp), block])
+        vals = np.column_stack([dense[tuple(subsets[:, p] for p in cols)]
+                                for cols in roles])
+        full = ~np.isnan(vals).any(axis=1)
+        subsets, vals = subsets[full], vals[full]
+        rep.n_checked += vals.size
+        # left to right, as a scalar sum over the roles would add them
+        total = vals[:, 0]
+        for r in range(1, order + 1):
+            total = total + vals[:, r]
+        rhs = total[:, None] - vals
+        lhs = C * vals
+        for s, r in zip(*np.nonzero(lhs > rhs + slack)):
+            rep.triangle = False
+            subset = subsets[s].tolist()
+            rep.violations.append({"kind": "triangle", "where": subset,
+                                   "lhs": [subset[p] for p in roles[r]],
+                                   "margin": float(rhs[s, r] - lhs[s, r])})
+        nonzero = vals > ZERO_TOL
+        if nonzero.any():
+            ratio = float((rhs[nonzero] / vals[nonzero]).min())
+            if best is None or ratio < best:
+                best = ratio
     rep.empirical_C = best
     return rep
 

@@ -16,8 +16,9 @@ from mmot.clustering import (
     ttm,
     tune_threshold,
 )
+from mmot import clustering
 from mmot.clustering import _confusion
-from mmot.metric_props import DistanceTensor
+from mmot.metric_props import SENTINEL, DistanceTensor
 
 
 def best_matches_oracle(conf):
@@ -60,6 +61,98 @@ def block_tensor(sizes, inner=0.1, outer=5.0, seed=0):
         base = inner if same else outer
         T.set((i, j, k), base * (1.0 + 0.01 * rng.random()))
     return T, labels
+
+
+def clique_adjacency_oracle(h):
+    """TTM's clique adjacency, one hyperedge and one pair at a time."""
+    aff = clustering._affinities(np.array([w for _, w in h.hyperedges]))
+    A = np.zeros((h.n, h.n))
+    for ((i, j, kk), _), a in zip(h.hyperedges, aff):
+        for u, v in ((i, j), (i, kk), (j, kk)):
+            A[u, v] += a
+            A[v, u] += a
+    return A
+
+
+def incidence_oracle(h):
+    """NH-Cut's n x m incidence matrix, one column at a time."""
+    H = np.zeros((h.n, h.num_edges))
+    for col, ((i, j, kk), _) in enumerate(h.hyperedges):
+        H[[i, j, kk], col] = 1.0
+    return H
+
+
+def pair_affinity_oracle(D):
+    """spectral_cluster's pair affinities, one pair at a time."""
+    finite = {key: v for key, v in D.values.items() if key in D.sampled and v < SENTINEL}
+    A = np.zeros((D.size, D.size))
+    aff = clustering._affinities(np.array([v for _, v in sorted(finite.items())]))
+    for ((i, j), _), a in zip(sorted(finite.items()), aff):
+        A[i, j] = A[j, i] = a
+    return A
+
+
+def hypergraph_validation_oracle(n, hyperedges):
+    """Hypergraph3's checks edge by edge; the message of the first failure."""
+    seen = set()
+    for (i, j, k), w in hyperedges:
+        if not 0 <= i < j < k < n:
+            return f"hyperedge {(i, j, k)} not strictly increasing in range"
+        if (i, j, k) in seen:
+            return f"duplicate hyperedge {(i, j, k)}"
+        seen.add((i, j, k))
+        if not (np.isfinite(w) and w >= 0.0):
+            return f"hyperedge {(i, j, k)} has invalid weight {w}"
+    return None
+
+
+def random_hypergraph(n, m, rng):
+    """m distinct triples with full-mantissa weights, in random order."""
+    triples = list(combinations(range(n), 3))
+    pick = rng.choice(len(triples), size=m, replace=False)
+    return Hypergraph3(n, tuple((triples[t], float(rng.uniform(0.0, 4.0))) for t in pick))
+
+
+def spectral_inputs(monkeypatch, method, *args):
+    """The (M, d, support) a clusterer hands to the shared spectral step."""
+    seen = []
+    monkeypatch.setattr(clustering, "_spectral_labels",
+                        lambda M, d, support, *rest, **kw: seen.append((M, d, support)))
+    method(*args)
+    return seen[0]
+
+
+class TestOperatorOracles:
+    @pytest.mark.parametrize("n,m", [(6, 4), (9, 60), (12, 200), (20, 1000)])
+    def test_ttm_adjacency_matches_loop(self, monkeypatch, n, m):
+        for seed in range(3):
+            h = random_hypergraph(n, m, np.random.default_rng(seed))
+            A = clique_adjacency_oracle(h)
+            M, d, support = spectral_inputs(monkeypatch, ttm, h, 2)
+            np.testing.assert_array_equal(M, A, strict=True)
+            np.testing.assert_array_equal(d, A.sum(axis=1))
+            np.testing.assert_array_equal(support, A > 0.0)
+
+    @pytest.mark.parametrize("n,m", [(6, 4), (9, 60), (12, 200), (20, 1000)])
+    def test_nhcut_incidence_matches_loop(self, monkeypatch, n, m):
+        for seed in range(3):
+            h = random_hypergraph(n, m, np.random.default_rng(seed))
+            H = incidence_oracle(h)
+            w = clustering._affinities(np.array([wt for _, wt in h.hyperedges]))
+            M, d, support = spectral_inputs(monkeypatch, nhcut, h, 2)
+            np.testing.assert_array_equal(M, (H * (w / 3.0)[None, :]) @ H.T, strict=True)
+            np.testing.assert_array_equal(d, H @ w)
+            np.testing.assert_array_equal(support, (H @ H.T) > 0.0)
+
+    @pytest.mark.parametrize("p_sampled", [1.0, 0.6])
+    def test_spectral_affinity_matches_loop(self, monkeypatch, p_sampled):
+        rng = np.random.default_rng(8)
+        D = DistanceTensor(2, 14)
+        for key in D.all_keys():
+            if rng.random() < p_sampled:
+                D.set(key, float(rng.uniform(0.0, 3.0)))
+        M, _, _ = spectral_inputs(monkeypatch, spectral_cluster, D, 2)
+        np.testing.assert_array_equal(M, pair_affinity_oracle(D), strict=True)
 
 
 class TestKMeans:
@@ -150,6 +243,47 @@ class TestHypergraph:
             Hypergraph3(3, ((((0, 0, 1)), 1.0),))
         with pytest.raises(ValueError):
             Hypergraph3(3, (((0, 1, 2), -1.0),))
+
+    @pytest.mark.parametrize("edges,named", [
+        ((((0, 1, 2), 1.0), ((1, 2, 5), 1.0)), r"\(1, 2, 5\) not strictly increasing"),
+        ((((0, 1, 2), 1.0), ((-1, 1, 2), 1.0)), r"\(-1, 1, 2\) not strictly increasing"),
+        ((((0, 1, 3), 1.0), ((0, 1, 2), 2.0), ((0, 1, 3), 1.0)), r"duplicate hyperedge \(0, 1, 3\)"),
+        ((((0, 1, 2), 1.0), ((1, 2, 3), float("nan"))), r"\(1, 2, 3\) has invalid weight nan"),
+        ((((0, 1, 2), float("inf")),), r"\(0, 1, 2\) has invalid weight inf"),
+        # the first bad hyperedge is named, whatever its fault
+        ((((0, 1, 2), -2.0), ((0, 1, 9), 1.0)), r"\(0, 1, 2\) has invalid weight -2.0"),
+        ((((0, 1, 2), 1.0), ((0, 1, 2), 1.0), ((0, 1, 9), 1.0)), r"duplicate hyperedge \(0, 1, 2\)"),
+    ])
+    def test_validation_names_the_first_bad_edge(self, edges, named):
+        with pytest.raises(ValueError, match=named) as err:
+            Hypergraph3(5, edges)
+        assert str(err.value) == hypergraph_validation_oracle(5, edges)
+
+    def test_hyperedges_need_three_vertices(self):
+        # lengths 2 and 4 together still flatten to two triples' worth
+        with pytest.raises(ValueError, match="three vertices"):
+            Hypergraph3(5, (((0, 1), 1.0), ((0, 1, 2, 3), 1.0)))
+
+    def test_validation_matches_edge_by_edge_scan(self):
+        rng = np.random.default_rng(13)
+        triples = list(combinations(range(5), 3)) + [(0, 0, 1), (2, 1, 3), (0, 1, 5), (-1, 0, 1)]
+        p_triple = [0.09] * 10 + [0.025] * 4
+        weights = [1.0, 0.0, -1.0, np.nan, np.inf]
+        faults = set()
+        for _ in range(300):
+            edges = tuple((triples[rng.choice(len(triples), p=p_triple)],
+                           float(rng.choice(weights, p=[0.8, 0.05, 0.05, 0.05, 0.05])))
+                          for _ in range(int(rng.integers(1, 7))))
+            want = hypergraph_validation_oracle(5, edges)
+            faults.add(want and next(k for k in ("range", "duplicate", "weight") if k in want))
+            if want is None:
+                assert Hypergraph3(5, edges).num_edges == len(edges)
+            else:
+                with pytest.raises(ValueError) as err:
+                    Hypergraph3(5, edges)
+                assert str(err.value) == want
+        # valid inputs and every kind of fault came up
+        assert faults == {None, "range", "duplicate", "weight"}
 
 
 class TestTTMAndNHCut:

@@ -9,7 +9,10 @@ import pytest
 from mmot.core import Atom, DiscreteDistribution, JointMass
 from mmot.metric_props import (
     SENTINEL,
+    TRIANGLE_SLACK,
+    ZERO_TOL,
     DistanceTensor,
+    MetricReport,
     check_metric,
     check_n_metric_cost,
     check_W_tensor,
@@ -156,7 +159,72 @@ def metric_tensor(size, seed=0):
     return T
 
 
+def check_W_oracle(T, C=1.0, slack=TRIANGLE_SLACK):
+    """check_W_tensor as a scalar scan, one subset and one role at a time."""
+    rep = MetricReport(nonnegative=True, symmetric=True, triangle=True)
+    if any(v < 0 for v in T.values.values()):
+        rep.nonnegative = False
+    best = None
+    for subset in combinations(range(T.size), T.order + 1):
+        keys = list(combinations(subset, T.order))
+        if not all(t in T.sampled for t in keys):
+            continue
+        vals = {t: T.values[t] for t in keys}
+        total = sum(vals.values())
+        for t in keys:
+            rep.n_checked += 1
+            lhs = vals[t]
+            rhs = total - lhs
+            if C * lhs > rhs + slack:
+                rep.triangle = False
+                rep.violations.append({"kind": "triangle",
+                                       "where": list(subset), "lhs": list(t),
+                                       "margin": float(rhs - C * lhs)})
+            if lhs > ZERO_TOL:
+                ratio = rhs / lhs
+                if best is None or ratio < best:
+                    best = ratio
+    rep.empirical_C = best
+    return rep
+
+
+def random_tensor(order, size, rng, p_sampled, p_zero=0.1):
+    """Random full-mantissa values; some entries unsampled, some exactly 0."""
+    T = DistanceTensor(order, size)
+    for key in T.all_keys():
+        if rng.random() < p_sampled:
+            T.set(key, 0.0 if rng.random() < p_zero else float(rng.uniform(0.0, 3.0)))
+    return T
+
+
+def oracle_cases():
+    rng = np.random.default_rng(20)
+    cases = []
+    for order, size in ((2, 9), (2, 13), (3, 7), (3, 10)):
+        for p_sampled in (1.0, 0.8, 0.5):
+            cases.append(random_tensor(order, size, rng, p_sampled))
+    for seed in (3, 4):
+        cases.append(inject_violations(metric_tensor(9, seed=seed),
+                                       np.random.default_rng(seed), fraction=0.2))
+    negative = random_tensor(3, 6, rng, 1.0)
+    negative.values[(0, 1, 2)] = -0.25
+    cases.append(negative)
+    return cases
+
+
 class TestCheckWTensor:
+    @pytest.mark.parametrize("C", [1.0, 0.5, 2.0])
+    def test_matches_scalar_oracle_exactly(self, C):
+        checked = violated = 0
+        for T in oracle_cases():
+            got, want = check_W_tensor(T, C=C), check_W_oracle(T, C=C)
+            assert got == want
+            assert got.to_json() == want.to_json()
+            checked += got.n_checked
+            violated += len(got.violations)
+        # the comparison covers real scans with violations to report
+        assert checked > 0 and violated > 0
+
     def test_perimeter_tensor_passes(self):
         T = metric_tensor(6)
         rep = check_W_tensor(T)
@@ -193,6 +261,23 @@ class TestCheckWTensor:
         rep = check_W_tensor(T)
         assert rep.n_checked == 0
         assert rep.empirical_C is None
+
+    def test_order_two_partial_sampling_skips_incomplete_triangles(self):
+        T = DistanceTensor(2, 5)
+        # two sides of every triangle at most: a star around vertex 0
+        for j in range(1, 5):
+            T.set((0, j), 1.0)
+        rep = check_W_tensor(T)
+        assert rep.n_checked == 0
+        assert rep.empirical_C is None
+        assert rep.triangle and not rep.violations
+
+    def test_negative_sampled_value_flagged(self):
+        T = metric_tensor(5)
+        assert check_W_tensor(T).nonnegative
+        # set() refuses negatives, so write one past it
+        T.values[(0, 1, 2)] = -0.5
+        assert check_W_tensor(T).nonnegative is False
 
 
 class TestInjectViolations:
