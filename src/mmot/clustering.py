@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,17 +35,29 @@ __all__ = [
 KMEANS_MAX_ITER = 300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hypergraph3:
-    """3-uniform hypergraph; each hyperedge carries a distance weight."""
+    """3-uniform hypergraph; each hyperedge carries a distance weight.
+
+    `edges` is an (m, 3) integer array of vertex indices, one increasing
+    row per hyperedge, and `weights` the (m,) array of their distances.
+    """
 
     n: int
-    hyperedges: tuple[tuple[tuple[int, int, int], float], ...]
+    edges: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"need at least one node, got {self.n}")
-        idx, w = self._edge_arrays
+        idx = np.asarray(self.edges)
+        w = np.asarray(self.weights, dtype=float)
+        if idx.ndim != 2 or idx.shape[1] != 3:
+            raise ValueError("every hyperedge needs exactly three vertices")
+        if w.shape != (len(idx),):
+            raise ValueError(f"need one weight per hyperedge, got {w.shape} for {len(idx)}")
+        object.__setattr__(self, "edges", idx)
+        object.__setattr__(self, "weights", w)
         bad_range = ~((0 <= idx[:, 0]) & (idx[:, 0] < idx[:, 1])
                       & (idx[:, 1] < idx[:, 2]) & (idx[:, 2] < self.n))
         # codes are unique among in-range triples; a clash with an
@@ -61,25 +71,16 @@ class Hypergraph3:
             # name the first bad hyperedge, testing range, then duplicate,
             # then weight, as an edge-by-edge scan would
             e = bad[0]
-            edge, wt = tuple(self.hyperedges[e][0]), self.hyperedges[e][1]
+            edge, wt = tuple(idx[e].tolist()), float(w[e])
             if bad_range[e]:
                 raise ValueError(f"hyperedge {edge} not strictly increasing in range")
             if duplicate[e]:
                 raise ValueError(f"duplicate hyperedge {edge}")
             raise ValueError(f"hyperedge {edge} has invalid weight {wt}")
 
-    @cached_property
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The hyperedges as an (m, 3) index array and an (m,) weight array."""
-        keys, weights = zip(*self.hyperedges) if self.hyperedges else ((), ())
-        if any(len(key) != 3 for key in keys):
-            raise ValueError("every hyperedge needs exactly three vertices")
-        idx = np.fromiter(chain.from_iterable(keys), dtype=np.int64, count=3 * len(keys))
-        return idx.reshape(-1, 3), np.array(weights, dtype=float)
-
     @property
     def num_edges(self) -> int:
-        return len(self.hyperedges)
+        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -105,12 +106,11 @@ def build_hypergraph(T: DistanceTensor, threshold: float) -> Hypergraph3:
     """Keep sampled triples whose distance is at most the threshold."""
     if T.order != 3:
         raise ValueError(f"need an order-3 tensor, got order {T.order}")
-    edges = tuple(
-        (key, T.values[key]) for key in sorted(T.sampled) if T.values[key] <= threshold
-    )
-    if not edges:
+    keys, weights = T.sampled_entries()
+    keep = weights <= threshold
+    if not keep.any():
         raise ValueError(f"no hyperedges survive threshold {threshold}")
-    return Hypergraph3(T.size, edges)
+    return Hypergraph3(T.size, keys[keep], weights[keep])
 
 
 def _affinities(weights: np.ndarray) -> np.ndarray:
@@ -149,7 +149,7 @@ def ttm(h: Hypergraph3, k: int, rng: np.random.Generator | None = None) -> Clust
     """Tensor-trace maximization: contract the affinity tensor, then spectral."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    idx, weights = h._edge_arrays
+    idx, weights = h.edges, h.weights
     aff = _affinities(weights)
     # per hyperedge the cells (i,j), (j,i), (i,k), (k,i), (j,k), (k,j);
     # bincount adds in input order, so each cell sums edge by edge
@@ -165,7 +165,7 @@ def nhcut(h: Hypergraph3, k: int, rng: np.random.Generator | None = None) -> Clu
     """Normalized hypergraph cut via the incidence-based Laplacian."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    idx, weights = h._edge_arrays
+    idx, weights = h.edges, h.weights
     H = np.zeros((h.n, h.num_edges))
     H[idx, np.arange(h.num_edges)[:, None]] = 1.0
     w = _affinities(weights)
@@ -184,12 +184,12 @@ def spectral_cluster(D: DistanceTensor, k: int,
         raise ValueError(f"need an order-2 tensor, got order {D.order}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    finite = {key: v for key, v in D.values.items() if key in D.sampled and v < SENTINEL}
+    keys, weights = D.sampled_entries()
+    finite = weights < SENTINEL
     A = np.zeros((D.size, D.size))
-    if finite:
-        items = sorted(finite.items())
-        i, j = np.array([key for key, _ in items]).T
-        aff = _affinities(np.array([v for _, v in items]))
+    if finite.any():
+        i, j = keys[finite].T
+        aff = _affinities(weights[finite])
         A[i, j] = aff
         A[j, i] = aff
     return _spectral_labels(A, A.sum(axis=1), A > 0.0, k, rng, random_walk=True)
@@ -304,7 +304,7 @@ def tune_threshold(
     propagates.  Ties keep the earliest gridpoint.
     """
     if grid is None:
-        sampled = np.array([T.values[key] for key in sorted(T.sampled)])
+        sampled = T.sampled_entries()[1]
         if sampled.size == 0:
             raise ValueError("tensor has no sampled entries to build a grid from")
         grid = np.quantile(sampled, np.linspace(0.1, 1.0, 10)).tolist()

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,9 +47,11 @@ COMPAT_TOL = 1e-9
 class DistanceTensor:
     """Symmetric order-2 or order-3 tensor with explicit sampling mask.
 
-    Values are stored once per strictly increasing index tuple; reads
-    with permuted indices resolve to the same entry.  Unsampled entries
-    read as SENTINEL.  `modified` tracks entries rewritten by
+    One dense (size,)*order float64 array, `dense`, is the only storage:
+    each entry sits at its strictly increasing index tuple, NaN marks an
+    unsampled entry, and the positions of non-increasing tuples stay NaN.
+    Reads with permuted indices resolve to the same entry.  Unsampled
+    entries read as SENTINEL.  `modified` tracks entries rewritten by
     inject_violations so later passes can avoid them.
     """
 
@@ -59,8 +62,7 @@ class DistanceTensor:
             raise ValueError(f"size {size} is too small for order {order}")
         self.order = order
         self.size = size
-        self.values: dict[tuple[int, ...], float] = {}
-        self.sampled: set[tuple[int, ...]] = set()
+        self.dense = np.full((size,) * order, np.nan)
         self.modified: set[tuple[int, ...]] = set()
 
     def _key(self, idx: Sequence[int]) -> tuple[int, ...]:
@@ -77,70 +79,160 @@ class DistanceTensor:
         v = float(value)
         if not math.isfinite(v) or v < 0:
             raise ValueError(f"value must be finite and nonnegative, got {value}")
-        key = self._key(idx)
-        self.values[key] = v
-        self.sampled.add(key)
+        self.dense[self._key(idx)] = v
 
     def get(self, idx: Sequence[int]) -> float:
-        return self.values.get(self._key(idx), SENTINEL)
+        v = float(self.dense[self._key(idx)])
+        return SENTINEL if math.isnan(v) else v
 
     def is_sampled(self, idx: Sequence[int]) -> bool:
-        return self._key(idx) in self.sampled
+        return not math.isnan(self.dense[self._key(idx)])
 
     def all_keys(self) -> Iterator[tuple[int, ...]]:
         return combinations(range(self.size), self.order)
 
+    def sampled_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sampled keys as an (m, order) array in lexicographic order, and their values."""
+        # flat C-order positions are lexicographic in the key
+        flat = np.flatnonzero(~np.isnan(self.dense))
+        keys = np.column_stack(np.unravel_index(flat, self.dense.shape))
+        return keys, self.dense.take(flat)
+
+    @property
+    def sampled(self) -> set[tuple[int, ...]]:
+        """A new set of the sampled keys."""
+        return set(map(tuple, self.sampled_entries()[0].tolist()))
+
+    @property
+    def values(self) -> MutableMapping[tuple[int, ...], float]:
+        """The sampled entries by increasing key; writes go to `dense`."""
+        return _SampledValues(self)
+
     @property
     def n_sampled(self) -> int:
-        return len(self.sampled)
+        return int(np.count_nonzero(~np.isnan(self.dense)))
 
     def copy(self) -> "DistanceTensor":
         out = DistanceTensor(self.order, self.size)
-        out.values = dict(self.values)
-        out.sampled = set(self.sampled)
+        out.dense[...] = self.dense
         out.modified = set(self.modified)
         return out
 
     def to_csv(self, path: str) -> None:
         # every increasing tuple is written, unsampled ones as sentinel,
         # so the file fully determines (order, size)
+        keys = list(self.all_keys())
+        vals = self.dense[tuple(np.array(keys).T)]
+        flags = ~np.isnan(vals)
+        vals[~flags] = SENTINEL
+        # tolist() gives Python floats, whose repr round-trips exactly
         with open(path, "w") as fh:
-            for key in self.all_keys():
-                value = self.values.get(key, SENTINEL)
-                flag = 1 if key in self.sampled else 0
-                fh.write(",".join(str(i) for i in key) + f",{value!r},{flag}\n")
+            fh.writelines(f"{','.join(map(str, key))},{v!r},{f:d}\n"
+                          for key, v, f in zip(keys, vals.tolist(), flags.tolist()))
 
     @classmethod
     def from_csv(cls, path: str) -> "DistanceTensor":
-        rows: list[tuple[tuple[int, ...], float, int]] = []
         with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) not in (4, 5):
-                    raise ValueError(f"{path}:{lineno}: expected 4 or 5 fields")
-                try:
-                    idx = tuple(int(p) for p in parts[:-2])
-                    value = float(parts[-2])
-                    flag = int(parts[-1])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from None
-                if flag not in (0, 1):
-                    raise ValueError(f"{path}:{lineno}: sampled flag must be 0 or 1")
-                rows.append((idx, value, flag))
-        if not rows:
+            lines = fh.read().splitlines()
+        # 1-based numbers of the non-blank lines, one per parsed row
+        numbers = [n for n, line in enumerate(lines, start=1) if line.strip()]
+        if not numbers:
             raise ValueError(f"{path}: empty tensor file")
-        order = len(rows[0][0])
-        size = 1 + max(max(idx) for idx, _, _ in rows)
+        text = [lines[n - 1] for n in numbers]
+        try:
+            rows = np.loadtxt(text, delimiter=",", ndmin=2, comments=None)
+        except ValueError as exc:
+            _raise_bad_field(path, numbers, text, exc)
+
+        def fail(bad: np.ndarray, message: Callable[[int], str]) -> None:
+            # name the first offending row by its line
+            if bad.any():
+                r = int(np.argmax(bad))
+                raise ValueError(f"{path}:{numbers[r]}: {message(r)}")
+
+        if rows.shape[1] not in (4, 5):
+            raise ValueError(f"{path}:{numbers[0]}: expected 4 or 5 fields")
+        idx, value, flag = rows[:, :-2], rows[:, -2], rows[:, -1]
+        fail((flag != 0) & (flag != 1), lambda r: "sampled flag must be 0 or 1")
+        # loadtxt reads every field as a float, so 1.5 or -1 gets this far
+        not_int = ~(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx)))
+        fail(not_int.any(axis=1),
+             lambda r: f"index {idx[r][not_int[r]][0]:g} is not a nonnegative integer")
+        raw = idx.astype(np.intp)
+        idx = np.sort(raw, axis=1)
+        fail((np.diff(idx, axis=1) == 0).any(axis=1),
+             lambda r: f"indices must be distinct, got {tuple(raw[r].tolist())}")
+        sampled = flag == 1
+        fail(sampled & ~(np.isfinite(value) & (value >= 0)),
+             lambda r: f"value must be finite and nonnegative, got {float(value[r])}")
+        order, size = idx.shape[1], int(idx.max()) + 1
+        codes = np.ravel_multi_index(tuple(idx.T), (size,) * order)
+        unique, first = np.unique(codes, return_index=True)
+        repeat = np.ones(len(codes), dtype=bool)
+        repeat[first] = False
+        fail(repeat, lambda r: f"index tuple {tuple(idx[r].tolist())} repeats line "
+                               f"{numbers[first[np.searchsorted(unique, codes[r])]]}")
         out = cls(order, size)
-        for idx, value, flag in rows:
-            if len(idx) != order:
-                raise ValueError(f"{path}: inconsistent index arity")
-            if flag:
-                out.set(idx, value)
+        out.dense[tuple(idx[sampled].T)] = value[sampled]
         return out
+
+
+class _SampledValues(MutableMapping):
+    """A DistanceTensor's sampled entries as a mapping over increasing keys."""
+
+    def __init__(self, T: DistanceTensor) -> None:
+        self._T = T
+
+    def _cell(self, key) -> tuple[int, ...]:
+        # only an increasing in-range tuple names a stored entry
+        try:
+            cell = self._T._key(key)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if cell != tuple(key):
+            raise KeyError(key)
+        return cell
+
+    def __getitem__(self, key) -> float:
+        v = float(self._T.dense[self._cell(key)])
+        if math.isnan(v):
+            raise KeyError(key)
+        return v
+
+    def __setitem__(self, key, value: float) -> None:
+        v = float(value)
+        if math.isnan(v):
+            raise ValueError("NaN marks unsampled entries and cannot be stored")
+        self._T.dense[self._cell(key)] = v
+
+    def __delitem__(self, key) -> None:
+        self[key]
+        self._T.dense[self._cell(key)] = np.nan
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return map(tuple, self._T.sampled_entries()[0].tolist())
+
+    def __len__(self) -> int:
+        return self._T.n_sampled
+
+
+def _raise_bad_field(path: str, numbers: list[int], text: list[str],
+                     exc: ValueError) -> NoReturn:
+    """Name the first line np.loadtxt could not read: field count, arity or a number."""
+    arity = None
+    for n, line in zip(numbers, text):
+        parts = line.split(",")
+        if len(parts) not in (4, 5):
+            raise ValueError(f"{path}:{n}: expected 4 or 5 fields")
+        if arity is not None and len(parts) != arity:
+            raise ValueError(f"{path}:{n}: inconsistent index arity")
+        arity = len(parts)
+        for part in parts:
+            try:
+                float(part)
+            except ValueError as bad:
+                raise ValueError(f"{path}:{n}: {bad}") from None
+    raise ValueError(f"{path}: {exc}") from exc
 
 
 @dataclass
@@ -350,18 +442,16 @@ def check_W_tensor(T: DistanceTensor, C: float = 1.0,
     Each entry of a subset is checked against the sum of the others: the
     classical triangle inequality for order 2, the generalized one for
     order 3.  empirical_C is the smallest ratio seen over roles with
-    nonzero left side.  The sampled entries go into one dense
-    (size,)*order array; subsets are then scanned in lexicographic order,
-    one block per smallest index, so the scan holds one block at a time.
+    nonzero left side.  Subsets are scanned in lexicographic order
+    straight from the tensor's dense array, one block per smallest index,
+    so the scan holds one block at a time.
     """
     rep = MetricReport(nonnegative=True, symmetric=True, triangle=True)
-    if any(v < 0 for v in T.values.values()):
+    dense = T.dense
+    # NaN (unsampled) compares false
+    if (dense < 0).any():
         rep.nonnegative = False
     order = T.order
-    # sampled entries at their increasing index; NaN marks the rest
-    dense = np.full((T.size,) * order, np.nan)
-    for key in T.sampled:
-        dense[key] = T.values[key]
     # the tails of every block: increasing order-tuples over 1..size-1,
     # lexicographic, so the tails above index i form a suffix
     tails = np.array(list(combinations(range(1, T.size), order)),
@@ -422,9 +512,11 @@ def inject_violations(
     if factor <= 1.0:
         raise ValueError(f"factor must exceed 1, got {factor}")
     out = T.copy()
-    target = math.ceil(fraction * len(T.sampled))
+    target = math.ceil(fraction * T.n_sampled)
     if target == 0:
         return out
+    # rewrites keep every entry sampled, so one set serves the whole loop
+    sampled = out.sampled
     locked: set[tuple[int, ...]] = set(out.modified)
     done = 0
     attempts = 0
@@ -437,9 +529,9 @@ def inject_violations(
                 f"(modified {done} of {target})")
         subset = tuple(sorted(rng.choice(T.size, size=4, replace=False).tolist()))
         triples = list(combinations(subset, 3))
-        if not all(t in out.sampled for t in triples):
+        if not all(t in sampled for t in triples):
             continue
-        vals = {t: out.values[t] for t in triples}
+        vals = {t: float(out.dense[t]) for t in triples}
         total = sum(vals.values())
         # delta is the raise putting this triple level with the other three;
         # the post-raise margin is (factor-1)*delta, which must beat the
@@ -451,7 +543,7 @@ def inject_violations(
         if not free:
             continue
         t_min = min(free, key=lambda t: (deltas[t], t))
-        out.values[t_min] = vals[t_min] + factor * deltas[t_min]
+        out.dense[t_min] = vals[t_min] + factor * deltas[t_min]
         out.modified.add(t_min)
         locked.update(triples)
         done += 1

@@ -20,6 +20,8 @@ from mmot import clustering
 from mmot.clustering import _confusion
 from mmot.metric_props import SENTINEL, DistanceTensor
 
+from dict_tensor import build_hypergraph_oracle, default_grid_oracle, random_pairs
+
 
 def best_matches_oracle(conf):
     """Most matched points over every relabeling, by brute force."""
@@ -63,11 +65,17 @@ def block_tensor(sizes, inner=0.1, outer=5.0, seed=0):
     return T, labels
 
 
+def hypergraph(n, hyperedges):
+    """Hypergraph3 from the tuple form ((i, j, k), weight), ..."""
+    edges = np.array([e for e, _ in hyperedges], dtype=np.int64).reshape(-1, 3)
+    return Hypergraph3(n, edges, np.array([w for _, w in hyperedges], dtype=float))
+
+
 def clique_adjacency_oracle(h):
     """TTM's clique adjacency, one hyperedge and one pair at a time."""
-    aff = clustering._affinities(np.array([w for _, w in h.hyperedges]))
+    aff = clustering._affinities(h.weights)
     A = np.zeros((h.n, h.n))
-    for ((i, j, kk), _), a in zip(h.hyperedges, aff):
+    for (i, j, kk), a in zip(h.edges.tolist(), aff):
         for u, v in ((i, j), (i, kk), (j, kk)):
             A[u, v] += a
             A[v, u] += a
@@ -77,7 +85,7 @@ def clique_adjacency_oracle(h):
 def incidence_oracle(h):
     """NH-Cut's n x m incidence matrix, one column at a time."""
     H = np.zeros((h.n, h.num_edges))
-    for col, ((i, j, kk), _) in enumerate(h.hyperedges):
+    for col, (i, j, kk) in enumerate(h.edges.tolist()):
         H[[i, j, kk], col] = 1.0
     return H
 
@@ -110,7 +118,7 @@ def random_hypergraph(n, m, rng):
     """m distinct triples with full-mantissa weights, in random order."""
     triples = list(combinations(range(n), 3))
     pick = rng.choice(len(triples), size=m, replace=False)
-    return Hypergraph3(n, tuple((triples[t], float(rng.uniform(0.0, 4.0))) for t in pick))
+    return hypergraph(n, tuple((triples[t], float(rng.uniform(0.0, 4.0))) for t in pick))
 
 
 def spectral_inputs(monkeypatch, method, *args):
@@ -138,7 +146,7 @@ class TestOperatorOracles:
         for seed in range(3):
             h = random_hypergraph(n, m, np.random.default_rng(seed))
             H = incidence_oracle(h)
-            w = clustering._affinities(np.array([wt for _, wt in h.hyperedges]))
+            w = clustering._affinities(h.weights)
             M, d, support = spectral_inputs(monkeypatch, nhcut, h, 2)
             np.testing.assert_array_equal(M, (H * (w / 3.0)[None, :]) @ H.T, strict=True)
             np.testing.assert_array_equal(d, H @ w)
@@ -229,9 +237,9 @@ class TestHypergraph:
         # tight threshold keeps only the two all-inside triples
         h = build_hypergraph(T, threshold=1.0)
         assert h.n == 6
-        assert {e for e, _ in h.hyperedges} == {(0, 1, 2), (3, 4, 5)}
+        assert h.edges.tolist() == [[0, 1, 2], [3, 4, 5]]
         h_all = build_hypergraph(T, threshold=100.0)
-        assert len(h_all.hyperedges) == 20
+        assert h_all.num_edges == 20
 
     def test_empty_selection_rejected(self):
         T, _ = block_tensor([2, 2])
@@ -240,9 +248,11 @@ class TestHypergraph:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Hypergraph3(3, ((((0, 0, 1)), 1.0),))
+            hypergraph(3, ((((0, 0, 1)), 1.0),))
         with pytest.raises(ValueError):
-            Hypergraph3(3, (((0, 1, 2), -1.0),))
+            hypergraph(3, (((0, 1, 2), -1.0),))
+        with pytest.raises(ValueError, match="one weight per hyperedge"):
+            Hypergraph3(3, np.array([[0, 1, 2]]), np.ones(2))
 
     @pytest.mark.parametrize("edges,named", [
         ((((0, 1, 2), 1.0), ((1, 2, 5), 1.0)), r"\(1, 2, 5\) not strictly increasing"),
@@ -256,13 +266,13 @@ class TestHypergraph:
     ])
     def test_validation_names_the_first_bad_edge(self, edges, named):
         with pytest.raises(ValueError, match=named) as err:
-            Hypergraph3(5, edges)
+            hypergraph(5, edges)
         assert str(err.value) == hypergraph_validation_oracle(5, edges)
 
     def test_hyperedges_need_three_vertices(self):
-        # lengths 2 and 4 together still flatten to two triples' worth
-        with pytest.raises(ValueError, match="three vertices"):
-            Hypergraph3(5, (((0, 1), 1.0), ((0, 1, 2, 3), 1.0)))
+        for width in (2, 4):
+            with pytest.raises(ValueError, match="three vertices"):
+                Hypergraph3(9, np.arange(2 * width).reshape(2, width), np.ones(2))
 
     def test_validation_matches_edge_by_edge_scan(self):
         rng = np.random.default_rng(13)
@@ -277,13 +287,53 @@ class TestHypergraph:
             want = hypergraph_validation_oracle(5, edges)
             faults.add(want and next(k for k in ("range", "duplicate", "weight") if k in want))
             if want is None:
-                assert Hypergraph3(5, edges).num_edges == len(edges)
+                assert hypergraph(5, edges).num_edges == len(edges)
             else:
                 with pytest.raises(ValueError) as err:
-                    Hypergraph3(5, edges)
+                    hypergraph(5, edges)
                 assert str(err.value) == want
         # valid inputs and every kind of fault came up
         assert faults == {None, "range", "duplicate", "weight"}
+
+
+class TestDenseMatchesDictOracle:
+    """build_hypergraph and the default grid read the dense tensor exactly as the dict one."""
+
+    @staticmethod
+    def default_grid(T):
+        seen = []
+
+        def record(tensor, th):
+            seen.append(th)
+            raise ValueError("recorded")
+
+        with pytest.raises(ValueError, match="no feasible threshold"):
+            tune_threshold(T, [0] * T.size, record)
+        return seen
+
+    def test_default_grid(self):
+        for T, ref in random_pairs():
+            assert self.default_grid(T) == default_grid_oracle(ref)
+
+    def test_edges_at_every_default_gridpoint(self):
+        survived = 0
+        for T, ref in random_pairs():
+            grid = default_grid_oracle(ref)
+            # below every value nothing survives
+            for th in [-1.0] + grid:
+                try:
+                    want = build_hypergraph_oracle(ref, th)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as err:
+                        build_hypergraph(T, th)
+                    assert str(err.value) == str(exc)
+                    continue
+                h = build_hypergraph(T, th)
+                assert h.n == ref.size
+                assert h.edges.tolist() == [list(key) for key, _ in want]
+                assert h.weights.tolist() == [w for _, w in want]
+                survived += h.num_edges
+        assert survived > 0
 
 
 class TestTTMAndNHCut:
@@ -297,25 +347,25 @@ class TestTTMAndNHCut:
     @pytest.mark.parametrize("method", [ttm, nhcut])
     def test_isolated_vertex_named_in_error(self, method):
         # vertex 5 appears in no hyperedge
-        h = Hypergraph3(6, (((0, 1, 2), 1.0), ((2, 3, 4), 1.0)))
+        h = hypergraph(6, (((0, 1, 2), 1.0), ((2, 3, 4), 1.0)))
         with pytest.raises(ValueError, match="5"):
             method(h, 2, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("method", [ttm, nhcut])
     def test_too_many_components_rejected(self, method):
         # three components but k=2
-        h = Hypergraph3(9, (((0, 1, 2), 1.0), ((3, 4, 5), 1.0), ((6, 7, 8), 1.0)))
+        h = hypergraph(9, (((0, 1, 2), 1.0), ((3, 4, 5), 1.0), ((6, 7, 8), 1.0)))
         with pytest.raises(ValueError, match="component"):
             method(h, 2, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("method", [ttm, nhcut])
     def test_components_equal_k_is_fine(self, method):
-        h = Hypergraph3(6, (((0, 1, 2), 1.0), ((3, 4, 5), 1.0)))
+        h = hypergraph(6, (((0, 1, 2), 1.0), ((3, 4, 5), 1.0)))
         sol = method(h, 2, rng=np.random.default_rng(0))
         assert clustering_error(sol.labels, [0, 0, 0, 1, 1, 1]) == 0.0
 
     def test_k_must_be_at_least_two(self):
-        h = Hypergraph3(3, (((0, 1, 2), 1.0),))
+        h = hypergraph(3, (((0, 1, 2), 1.0),))
         with pytest.raises(ValueError):
             ttm(h, 1)
 

@@ -22,6 +22,8 @@ from mmot.metric_props import (
 )
 from mmot.transport import PairwiseCost, euclidean_cost
 
+from dict_tensor import DictTensor, SEVENTEEN_DIGITS, inject_oracle, random_pairs
+
 
 class TestDistanceTensor:
     def test_symmetric_index_resolution(self):
@@ -64,6 +66,100 @@ class TestDistanceTensor:
         p2 = tmp_path / "t2.csv"
         back.to_csv(str(p2))
         assert p.read_bytes() == p2.read_bytes()
+
+
+class TestCsvErrors:
+    """A malformed tensor file raises ValueError naming the file and the line."""
+
+    @pytest.mark.parametrize("text,line,reason", [
+        ("0,1,2,1.0,1\n0,1,2,3,1.0,1\n", 2, "expected 4 or 5 fields"),
+        ("0,1,2,1.0,1\n0,1,3,1.0,2\n", 2, "flag must be 0 or 1"),
+        # blank lines are skipped but still counted
+        ("0,1,2,1.0,1\n\n0,1,3,1.0,-1\n", 3, "flag must be 0 or 1"),
+        ("0,1,2,1.0,1\n0,1,1.0,1\n", 2, "arity"),
+        ("0,1,2,1.0,1\n0,1.5,3,1.0,1\n", 2, "1.5"),
+        ("0,1,2,1.0,1\n-1,1,2,1.0,1\n", 2, "-1"),
+        ("0,1,2,1.0,1\n0,3,3,1.0,1\n", 2, "distinct"),
+        ("0,1,2,1.0,1\n0,1,3,-0.5,1\n", 2, "finite and nonnegative"),
+        ("0,1,2,1.0,1\n0,1,3,inf,1\n", 2, "finite and nonnegative"),
+        ("0,1,3,nan,1\n", 1, "finite and nonnegative"),
+    ])
+    def test_bad_line_is_named(self, tmp_path, text, line, reason):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as err:
+            DistanceTensor.from_csv(str(p))
+        assert str(err.value).startswith(f"{p}:{line}: ")
+        assert reason in str(err.value)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_file(self, tmp_path, text):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match="empty tensor file") as err:
+            DistanceTensor.from_csv(str(p))
+        assert str(err.value).startswith(str(p))
+
+    def test_repeated_index_tuple_names_both_lines(self, tmp_path):
+        p = tmp_path / "t.csv"
+        # the same triple, written in another index order
+        p.write_text("0,1,2,1.0,1\n0,1,3,1.0,1\n2,1,0,5.0,1\n")
+        with pytest.raises(ValueError, match="line 1") as err:
+            DistanceTensor.from_csv(str(p))
+        assert str(err.value).startswith(f"{p}:3: ")
+
+    def test_unsampled_rows_keep_any_value(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("2,0,1,-1.0,0\n0,1,3,nan,0\n1,2,3,0.5,1\n")
+        T = DistanceTensor.from_csv(str(p))
+        assert (T.order, T.size, T.n_sampled) == (3, 4, 1)
+        assert T.get((3, 2, 1)) == 0.5 and not T.is_sampled((0, 1, 2))
+
+
+class TestDenseMatchesDictOracle:
+    """The dense tensor gives exactly the dict-and-set tensor's results."""
+
+    def test_csv_bytes_and_round_trip(self, tmp_path):
+        seventeen = 0
+        for n, (T, ref) in enumerate(random_pairs()):
+            got, want = tmp_path / f"dense{n}.csv", tmp_path / f"dict{n}.csv"
+            T.to_csv(str(got))
+            ref.to_csv(str(want))
+            assert got.read_bytes() == want.read_bytes()
+            back, ref_back = DistanceTensor.from_csv(str(want)), DictTensor.from_csv(str(got))
+            assert (back.order, back.size) == (ref_back.order, ref_back.size)
+            assert back.sampled == ref_back.sampled == ref.sampled
+            assert back.values == ref_back.values == ref.values
+            back.to_csv(str(got))
+            assert got.read_bytes() == want.read_bytes()
+            seventeen += sum(v in SEVENTEEN_DIGITS for v in ref.values.values())
+        assert seventeen > 0
+
+    @pytest.mark.parametrize("C", [1.0, 0.5])
+    def test_check_W_report(self, C):
+        violated = 0
+        for T, ref in random_pairs():
+            got, want = check_W_tensor(T, C=C), check_W_oracle(ref, C=C)
+            assert got == want
+            assert got.to_json() == want.to_json()
+            violated += len(got.violations)
+        assert violated > 0
+
+    def test_inject_values_and_modified(self):
+        injected = 0
+        for T, ref in random_pairs():
+            if T.order != 3:
+                continue
+            for seed in range(3):
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = inject_oracle(ref, ref_rng, fraction=0.2, factor=1.3)
+                got = inject_violations(T, rng, fraction=0.2, factor=1.3)
+                assert got.values == want.values
+                assert got.modified == want.modified
+                # the same draws were made
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                injected += len(got.modified)
+        assert injected > 0
 
 
 class TestCheckMetric:
@@ -165,9 +261,10 @@ def check_W_oracle(T, C=1.0, slack=TRIANGLE_SLACK):
     if any(v < 0 for v in T.values.values()):
         rep.nonnegative = False
     best = None
+    sampled = T.sampled
     for subset in combinations(range(T.size), T.order + 1):
         keys = list(combinations(subset, T.order))
-        if not all(t in T.sampled for t in keys):
+        if not all(t in sampled for t in keys):
             continue
         vals = {t: T.values[t] for t in keys}
         total = sum(vals.values())
@@ -295,6 +392,15 @@ class TestInjectViolations:
         violated = {tuple(v["lhs"]) for v in rep.violations}
         assert out.modified <= violated
         assert rep.empirical_C < 1.0
+
+    def test_source_tensor_is_untouched(self, tmp_path):
+        T = metric_tensor(9, seed=2)
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        T.to_csv(str(before))
+        out = inject_violations(T, np.random.default_rng(3), 0.2, 1.3)
+        assert out.modified
+        T.to_csv(str(after))
+        assert after.read_bytes() == before.read_bytes()
 
     def test_deterministic_under_seed(self):
         T = metric_tensor(8, seed=5)
