@@ -19,59 +19,35 @@ import numpy as np
 from . import hashes
 from .constructions import planar_counterexample
 from .experiments import (
-    BACKENDS,
-    CLUSTERERS,
+    CONFIG_PARSERS,
     ExperimentConfig,
-    _parse_families,
-    _parse_grid,
     cmd_cluster,
     cmd_distances,
     cmd_inject,
     cmd_verify,
     load_config_file,
+    parse_config_value,
 )
 from .graphs import generate, save_graph
-
-_CONFIG_FLAGS = (
-    "families", "graphs_per_family", "perturb_p", "input_dir", "top_k",
-    "backend", "ell", "pairs_budget", "triples_budget", "sampling",
-    "threshold_grid", "clusterer", "trials", "out_dir",
-)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
     p.add_argument("--seed", type=int, required=True, help="master seed")
-    p.add_argument("--families", help="comma-separated family names")
-    p.add_argument("--graphs-per-family", type=int, dest="graphs_per_family")
-    p.add_argument("--perturb-p", type=float, dest="perturb_p")
-    p.add_argument("--input-dir", dest="input_dir")
-    p.add_argument("--top-k", type=int, dest="top_k")
-    p.add_argument("--backend", choices=BACKENDS)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--pairs-budget", type=int, dest="pairs_budget")
-    p.add_argument("--triples-budget", type=int, dest="triples_budget")
-    p.add_argument("--sampling", choices=("triples", "blocks"))
-    p.add_argument("--threshold-grid", dest="threshold_grid",
-                   help="comma-separated thresholds")
-    p.add_argument("--clusterer", choices=CLUSTERERS)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
+    for key in CONFIG_PARSERS:
+        if key != "seed":
+            p.add_argument("--" + key.replace("_", "-"),
+                           help=f"config key {key}, parsed as in a config file")
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     values: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         values.update(load_config_file(args.config))
-    for key in _CONFIG_FLAGS:
-        val = getattr(args, key, None)
-        if val is None:
-            continue
-        if key == "families":
-            val = _parse_families(val)
-        elif key == "threshold_grid":
-            val = _parse_grid(val)
-        values[key] = val
+    for key in CONFIG_PARSERS:
+        raw = getattr(args, key)
+        if key != "seed" and raw is not None:
+            values[key] = parse_config_value(key, raw)
     values["seed"] = args.seed
     return ExperimentConfig(**values)
 

@@ -10,7 +10,7 @@ through an explicit generator and runs repeat bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,7 +99,7 @@ class ClusteringSolution:
         return np.array(self.labels, dtype=int)
 
     def to_json(self) -> str:
-        return json.dumps({"k": self.k, "labels": list(self.labels)}, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def build_hypergraph(T: DistanceTensor, threshold: float) -> Hypergraph3:

@@ -6,8 +6,6 @@ from a pivot marginal and per-axis conditionals.
 """
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -106,42 +104,6 @@ class DiscreteDistribution:
     def size(self) -> int:
         return len(self.atoms)
 
-    def index_of(self, atom: Atom) -> int:
-        for s, a in enumerate(self.atoms):
-            if a == atom:
-                return s
-        raise ValueError(f"atom {atom!r} not in support")
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["atom_kind", self.atoms[0].kind])
-            for a, m in zip(self.atoms, self.masses):
-                w.writerow(list(a.value) + [repr(float(m))])
-
-    @classmethod
-    def from_csv(cls, path: str) -> "DiscreteDistribution":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0][0] != "atom_kind" or len(rows[0]) != 2:
-            raise ValueError(f"{path}: expected header row 'atom_kind,<kind>'")
-        kind = rows[0][1]
-        if kind not in ("real", "point", "label"):
-            raise ValueError(f"{path}: unknown atom kind {kind!r}")
-        atoms, masses = [], []
-        for lineno, row in enumerate(rows[1:], start=2):
-            want = 3 if kind == "point" else 2
-            if len(row) != want:
-                raise ValueError(f"{path}:{lineno}: expected {want} columns, got {len(row)}")
-            if kind == "real":
-                atoms.append(Atom.real(float(row[0])))
-            elif kind == "point":
-                atoms.append(Atom.point(float(row[0]), float(row[1])))
-            else:
-                atoms.append(Atom.label(row[0]))
-            masses.append(float(row[-1]))
-        return cls(atoms, masses)
-
 
 @dataclass(frozen=True, eq=False)
 class JointMass:
@@ -168,17 +130,6 @@ class JointMass:
     @property
     def shape(self) -> tuple:
         return self.entries.shape
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"shape": list(self.entries.shape), "entries": [float(v) for v in self.entries.ravel()]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "JointMass":
-        obj = json.loads(text)
-        arr = np.asarray(obj["entries"], dtype=float).reshape(obj["shape"])
-        return cls(arr)
 
 
 @dataclass(frozen=True, eq=False)

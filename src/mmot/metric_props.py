@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import MutableMapping
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, permutations
 from typing import Callable, Iterator, Mapping, NoReturn, Sequence
 
@@ -253,16 +253,7 @@ class MetricReport:
                    (self.nonnegative, self.identity, self.symmetric, self.triangle))
 
     def to_json(self) -> str:
-        payload = {
-            "nonnegative": self.nonnegative,
-            "identity": self.identity,
-            "symmetric": self.symmetric,
-            "triangle": self.triangle,
-            "empirical_C": self.empirical_C,
-            "n_checked": self.n_checked,
-            "violations": self.violations,
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     def summary(self) -> str:
         status = "ok" if self.ok else f"FAILED ({len(self.violations)} violations)"

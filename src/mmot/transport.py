@@ -6,7 +6,6 @@ pairwise variant is ell=1 only, where the bracket sum stays linear.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -73,22 +72,6 @@ class TransportResult:
     def effectively_infinite(self) -> bool:
         return self.value > EFFECTIVELY_INFINITE
 
-    def to_json(self, include_coupling: bool = False) -> str:
-        obj = {
-            "value": float(self.value),
-            "per_pair_terms": (
-                None
-                if self.per_pair_terms is None
-                else {f"{i},{j}": float(v) for (i, j), v in sorted(self.per_pair_terms.items())}
-            ),
-        }
-        if include_coupling:
-            obj["coupling"] = {
-                "shape": list(self.coupling.shape),
-                "entries": [float(v) for v in self.coupling.entries.ravel()],
-            }
-        return json.dumps(obj)
-
 
 def euclidean_cost(p1: DiscreteDistribution, p2: DiscreteDistribution) -> np.ndarray:
     """Pairwise Euclidean distances between two supports of coordinate atoms."""
@@ -141,27 +124,18 @@ def _solve_coupling(dists: Sequence[DiscreteDistribution], powered: np.ndarray):
     # finite costs, so they are excluded and only reinstated as an
     # effectively-infinite verdict when nothing finite is feasible
     allowed = c < EFFECTIVELY_INFINITE
-    if np.all(allowed):
-        sol = lp.solve(lp.LpProblem(c, A, b))
-        if sol.status != lp.OPTIMAL:
-            raise RuntimeError(f"transport LP unexpectedly {sol.status}")
-        value, x = float(sol.value), sol.x
-    elif not np.any(allowed):
+    sol = lp.solve(lp.LpProblem(c[allowed], A[:, allowed], b)) if allowed.any() else None
+    if sol is not None and sol.status == lp.OPTIMAL:
+        value = float(sol.value)
+        x = np.zeros(c.shape)
+        x[allowed] = sol.x
+    elif sol is None or sol.status == lp.INFEASIBLE:
+        # every coupling must load a sentinel cell; report the
+        # sentinel itself and hand back the product coupling
         value = SENTINEL_COST
         x = reduce(np.multiply.outer, [p.masses for p in dists]).ravel()
     else:
-        sol = lp.solve(lp.LpProblem(c[allowed], A[:, allowed], b))
-        if sol.status == lp.OPTIMAL:
-            value = float(sol.value)
-            x = np.zeros(c.shape)
-            x[allowed] = sol.x
-        elif sol.status == lp.INFEASIBLE:
-            # every coupling must load a sentinel cell; report the
-            # sentinel itself and hand back the product coupling
-            value = SENTINEL_COST
-            x = reduce(np.multiply.outer, [p.masses for p in dists]).ravel()
-        else:
-            raise RuntimeError(f"transport LP unexpectedly {sol.status}")
+        raise RuntimeError(f"transport LP unexpectedly {sol.status}")
     r = np.clip(x, 0.0, None).reshape(shape)
     r = r / r.sum()
     for axis, p in enumerate(dists):

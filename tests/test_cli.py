@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from mmot.cli import main
+from mmot.cli import _build_config, build_parser, main
+from mmot.experiments import CONFIG_PARSERS
 from mmot.graphs import load_graph
 
 
@@ -190,3 +191,66 @@ class TestExperimentCommands:
         )
         assert rc == 2
         assert "error:" in err
+
+
+# one raw value per config key except seed, valid as a flag and as a file line
+FLAG_VALUES = {
+    "families": "cycle, complete",
+    "graphs_per_family": "3",
+    "perturb_p": "0.1",
+    "input_dir": "graphs",
+    "top_k": "8",
+    "backend": "mmot_nonmetric",
+    "ell": "2",
+    "pairs_budget": "10",
+    "triples_budget": "5",
+    "sampling": "blocks",
+    "threshold_grid": "0.5, 1.0",
+    "clusterer": "nhcut",
+    "trials": "2",
+    "out_dir": "somewhere",
+}
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestConfigFlags:
+    def test_every_config_key_but_seed_is_a_flag(self):
+        assert set(FLAG_VALUES) == set(CONFIG_PARSERS) - {"seed"}
+        parser = build_parser()
+        for command in (["distances"], ["cluster", "--tensor", "t.csv"]):
+            for key, raw in FLAG_VALUES.items():
+                args = parser.parse_args([*command, "--seed", "1", flag(key), raw])
+                assert getattr(args, key) == raw
+
+    def test_flag_and_config_line_build_equal_configs(self, tmp_path):
+        parser = build_parser()
+        for key, raw in FLAG_VALUES.items():
+            extra = {"ell": ["--backend", "mmot_nonmetric"]}.get(key, [])
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {raw}\n")
+            from_file = _build_config(parser.parse_args(
+                ["distances", "--seed", "4", "--config", str(cfg), *extra]))
+            from_flag = _build_config(parser.parse_args(
+                ["distances", "--seed", "4", flag(key), raw, *extra]))
+            assert from_flag == from_file
+            assert getattr(from_flag, key) != getattr(
+                _build_config(parser.parse_args(["distances", "--seed", "4", *extra])), key)
+
+    def test_bad_flag_values_take_the_config_error_path(self, tmp_path, capsys):
+        for key, raw, wording in (("backend", "bogus", "'bogus' not in"),
+                                  ("trials", "lots", "cannot parse 'lots'")):
+            rc, _, err = run(["distances", "--seed", "1", flag(key), raw,
+                              "--out-dir", str(tmp_path)], capsys)
+            assert rc == 2
+            assert err.startswith(f"error: config key {key!r}: ")
+            assert wording in err
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {raw}\n")
+            rc, _, file_err = run(["distances", "--seed", "1", "--config", str(cfg),
+                                   "--out-dir", str(tmp_path)], capsys)
+            assert rc == 2
+            assert err == file_err
+        assert not any(tmp_path.glob("*.json"))

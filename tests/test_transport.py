@@ -152,6 +152,18 @@ class TestMMOT:
         assert res.value == SENTINEL_COST
         np.testing.assert_allclose(res.coupling.entries, [[1.0]])
 
+    def test_allowed_cells_without_feasible_coupling_return_sentinel(self):
+        # only cell (0,0) is finite, but it can carry half the mass at most:
+        # the LP over the allowed cells is infeasible
+        p = DiscreteDistribution([Atom.real(0.0), Atom.real(1.0)], [0.5, 0.5])
+        q = DiscreteDistribution([Atom.real(0.0), Atom.real(1.0)], [0.5, 0.5])
+        d = np.full((2, 2), EFFECTIVELY_INFINITE)
+        d[0, 0] = 0.0
+        for res in (wasserstein(p, q, d), mmot([p, q], d, ell=2)):
+            assert res.value == SENTINEL_COST
+            assert res.effectively_infinite
+            np.testing.assert_allclose(res.coupling.entries, np.full((2, 2), 0.25))
+
 
 def euclidean_pairwise(ps):
     return PairwiseCost({(s, t): euclidean_cost(ps[s], ps[t]) for s, t in combinations(range(len(ps)), 2)})
