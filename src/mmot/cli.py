@@ -74,6 +74,8 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 def _run_hash_audit(args: argparse.Namespace) -> int:
     ns = [args.n] if args.n is not None else list(range(2, args.n_max + 1))
+    if not ns:
+        raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
     bad = 0
     for n in ns:
         for rep in (hashes.audit_H(n), hashes.audit_H_prime(n)):

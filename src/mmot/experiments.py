@@ -143,6 +143,9 @@ class ExperimentConfig:
             raise ValueError(f"config key 'perturb_p': must be in [0, 1], got {self.perturb_p}")
         if self.threshold_grid is not None and not self.threshold_grid:
             raise ValueError("config key 'threshold_grid': must be nonempty when given")
+        if self.threshold_grid is not None and not all(map(math.isfinite, self.threshold_grid)):
+            raise ValueError(
+                f"config key 'threshold_grid': thresholds must be finite, got {self.threshold_grid}")
         if self.sampling not in ("triples", "blocks"):
             raise ValueError(
                 f"config key 'sampling': must be 'triples' or 'blocks', got {self.sampling!r}")

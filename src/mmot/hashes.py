@@ -3,12 +3,24 @@
 The maps route pair/triple index terms into shared buckets; the audits
 certify the two properties everything downstream leans on: H^n never
 produces the same bucket twice, and H'^n produces at most 5 copies.
+
+Each map is defined once, as a numpy kernel over index arrays. The public
+`h`, `h_prime`, `H_n` and `H_prime_n` check their domain and call the
+kernel on length-1 arrays, so the audits certify the very map they
+return. A routing kernel fills a fixed 4-slot layout per input plus a
+keep-mask; the kept slots, read in row-major order, are the routed
+triples in emission order. An audit checks every emitted triple with
+boolean masks and counts multiplicities with one `np.bincount` per batch
+(one batch for H^n, one per r for H'^n) over the code (a*N + b)*N + c,
+N = n + 2.
 """
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "AUDIT_CAP",
@@ -31,9 +43,73 @@ class Triple(NamedTuple):
     c: int
 
 
+def _h(i: np.ndarray, n: int) -> np.ndarray:
+    # numpy % gives the nonnegative residue like Python's, so h(1) wraps to n
+    return 1 + (i - 2) % n
+
+
+def _h_prime(i: np.ndarray, r: np.ndarray | int, n: int) -> np.ndarray:
+    return np.where(i < n, 1 + (i + r - 1) % n, 1 + r % (n - 1))
+
+
+def _slots(*triples: tuple) -> np.ndarray:
+    # each argument is one slot's (a, b, c) columns; result is (m, slots, 3)
+    return np.stack([np.stack(t, axis=-1) for t in triples], axis=1)
+
+
+def _pair_routes(i: np.ndarray, j: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """H^n over index arrays: (m, 4, 3) triples and their (m, 4) keep-mask."""
+    hi, hj = _h(i, n), _h(j, n)
+    top = np.full_like(i, n + 1)
+    # (1, n) sends one triple for h(i); adjacent i, j send one for h(j)
+    wrap = (i == 1) & (j == n)
+    adjacent = i == j - 1
+    slots = _slots(
+        (i, np.where(wrap, top, j), hi),
+        (j, top, hi),
+        (np.where(adjacent, j, i), np.where(adjacent, top, j), hj),
+        (i, top, hj),
+    )
+    kept = np.ones_like(wrap)
+    return slots, np.stack([kept, ~wrap, kept, ~adjacent], axis=1)
+
+
+def _route_half(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: int) -> tuple:
+    # one-sided routing; the second triple is skipped when b is already
+    # the bucket of (a, r), otherwise both (a,b) and (b,r) get a copy
+    c = _h_prime(a, r, n)
+    single = b == c
+    x = np.where(single, r, b)
+    first = (np.minimum(a, x), np.maximum(a, x), c)
+    second = (np.minimum(b, r), np.maximum(b, r), c)
+    return first, second, ~single
+
+
+def _triple_routes(i: np.ndarray, j: np.ndarray, r: np.ndarray | int,
+                   n: int) -> tuple[np.ndarray, np.ndarray]:
+    """H'^n over index arrays: (m, 4, 3) triples and their (m, 4) keep-mask.
+
+    First two components of every triple come out sorted.
+    """
+    i, j, r = np.broadcast_arrays(i, j, r)
+    first_i, second_i, keep_i = _route_half(i, j, r, n)
+    first_j, second_j, keep_j = _route_half(j, i, r, n)
+    kept = np.ones_like(keep_i)
+    return (_slots(first_i, second_i, first_j, second_j),
+            np.stack([kept, keep_i, kept, keep_j], axis=1))
+
+
+def _triples(rows: np.ndarray) -> list[Triple]:
+    return [Triple(*t) for t in rows.tolist()]
+
+
 def _check_n(n: int) -> None:
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
+
+
+def _one(i: int) -> np.ndarray:
+    return np.array([i], dtype=np.int64)
 
 
 def h(i: int, n: int) -> int:
@@ -41,8 +117,7 @@ def h(i: int, n: int) -> int:
     _check_n(n)
     if not 1 <= i <= n:
         raise ValueError(f"i must be in [1, {n}], got {i}")
-    # Python % already gives the nonnegative residue, so h(1) wraps to n
-    return 1 + ((i - 2) % n)
+    return int(_h(_one(i), n)[0])
 
 
 def h_prime(i: int, r: int, n: int) -> int:
@@ -52,9 +127,7 @@ def h_prime(i: int, r: int, n: int) -> int:
         raise ValueError(f"i must be in [1, {n}], got {i}")
     if not 1 <= r <= n - 1:
         raise ValueError(f"r must be in [1, {n - 1}], got {r}")
-    if i < n:
-        return 1 + ((i + r - 1) % n)
-    return 1 + (r % (n - 1))
+    return int(_h_prime(_one(i), _one(r), n)[0])
 
 
 def H_n(i: int, j: int, n: int) -> list[Triple]:
@@ -62,31 +135,8 @@ def H_n(i: int, j: int, n: int) -> list[Triple]:
     _check_n(n)
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    out: list[Triple] = []
-    hi = h(i, n)
-    if j == n and i == 1:
-        out.append(Triple(i, n + 1, hi))
-    else:
-        out.append(Triple(i, j, hi))
-        out.append(Triple(j, n + 1, hi))
-    hj = h(j, n)
-    if i == j - 1:
-        out.append(Triple(j, n + 1, hj))
-    else:
-        out.append(Triple(i, j, hj))
-        out.append(Triple(i, n + 1, hj))
-    return out
-
-
-def _route_half(a: int, b: int, r: int, n: int) -> list[Triple]:
-    # one-sided routing; the second triple is skipped when b is already
-    # the bucket of (a, r), otherwise both (a,b) and (b,r) get a copy
-    c = h_prime(a, r, n)
-    if b == c:
-        raw = [(a, r, c)]
-    else:
-        raw = [(a, b, c), (b, r, c)]
-    return [Triple(min(x, y), max(x, y), z) for x, y, z in raw]
+    slots, keep = _pair_routes(_one(i), _one(j), n)
+    return _triples(slots[keep])
 
 
 def H_prime_n(i: int, j: int, r: int, n: int) -> list[Triple]:
@@ -99,7 +149,8 @@ def H_prime_n(i: int, j: int, r: int, n: int) -> list[Triple]:
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
     if not 1 <= r <= n - 1:
         raise ValueError(f"r must be in [1, {n - 1}], got {r}")
-    return _route_half(i, j, r, n) + _route_half(j, i, r, n)
+    slots, keep = _triple_routes(_one(i), _one(j), _one(r), n)
+    return _triples(slots[keep])
 
 
 @dataclass
@@ -133,33 +184,94 @@ def _audit_cap(n: int) -> None:
         raise ValueError(f"audit cap is n <= {AUDIT_CAP}, got {n}")
 
 
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # every 1 <= i < j <= n, i-major like the nested loop
+    i, j = np.triu_indices(n, k=1)
+    return i + 1, j + 1
+
+
+def _emit(slots: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Kept triples as an (m, 3) array in emission order, with each one's input row."""
+    return slots[keep], np.nonzero(keep)[0]
+
+
+def _flag(tri: np.ndarray, checks: list[tuple[np.ndarray, str]],
+          source: Callable[[int], str]) -> list[str]:
+    """One message per failed check, by emitted row, then by check order."""
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    out = []
+    for k in np.flatnonzero(bad).tolist():
+        t = Triple(*tri[k].tolist())
+        out.extend(f"{t} from {source(k)}: {label}"
+                   for mask, label in checks if mask[k])
+    return out
+
+
+def _codes(tri: np.ndarray, n: int) -> np.ndarray:
+    size = n + 2
+    if tri.size and (tri.min() < 0 or tri.max() >= size):
+        k = int(np.flatnonzero(((tri < 0) | (tri >= size)).any(axis=1))[0])
+        raise ValueError(f"routed triple {Triple(*tri[k].tolist())} has a component "
+                         f"outside [0, {n + 1}] and cannot be counted")
+    return (tri[:, 0] * size + tri[:, 1]) * size + tri[:, 2]
+
+
+def _decode(codes: np.ndarray, n: int) -> list[Triple]:
+    size = n + 2
+    ab, c = np.divmod(codes, size)
+    a, b = np.divmod(ab, size)
+    return _triples(np.column_stack([a, b, c]))
+
+
+def _first_emitted(batches: Iterable[np.ndarray], wanted: np.ndarray) -> np.ndarray:
+    """Codes with `wanted[code]` set, in the order the batches first emit them."""
+    seen = np.zeros_like(wanted)
+    found = []
+    for codes in batches:
+        hit = codes[wanted[codes] & ~seen[codes]]
+        _, first = np.unique(hit, return_index=True)
+        new = hit[np.sort(first)]
+        seen[new] = True
+        found.append(new)
+    return np.concatenate(found)
+
+
+def _histogram(counts: np.ndarray) -> dict[int, int]:
+    return {k: v for k, v in enumerate(np.bincount(counts).tolist()) if k and v}
+
+
 def audit_H(n: int) -> HashAuditReport:
     """Exhaustively audit H^n: no duplicate triples, components in range."""
     _audit_cap(n)
-    counts: Counter[Triple] = Counter()
-    violations: list[str] = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for t in H_n(i, j, n):
-                counts[t] += 1
-                if not (1 <= t.a < t.b <= n + 1):
-                    violations.append(f"{t} from ({i},{j}): first two out of range")
-                if not 1 <= t.c <= n:
-                    violations.append(f"{t} from ({i},{j}): third out of range")
-                if t.c in (t.a, t.b):
-                    violations.append(f"{t} from ({i},{j}): bucket collides")
-    for t, c in counts.items():
-        if c > 1:
-            violations.append(f"duplicate triple {t} appears {c} times")
-    hist = Counter(counts.values())
-    max_mult = max(counts.values()) if counts else 0
+    i, j = _pairs(n)
+    tri, row = _emit(*_pair_routes(i, j, n))
+    a, b, c = tri.T
+    violations = _flag(tri, [
+        (~((1 <= a) & (a < b) & (b <= n + 1)), "first two out of range"),
+        (~((1 <= c) & (c <= n)), "third out of range"),
+        ((c == a) | (c == b), "bucket collides"),
+    ], lambda k: f"({i[row[k]]},{j[row[k]]})")
+    codes = _codes(tri, n)
+    counts = np.bincount(codes, minlength=(n + 2) ** 3)
+    max_mult = int(counts.max())
+    if max_mult > 1:
+        dups = _first_emitted([codes], counts > 1)
+        violations += [f"duplicate triple {t} appears {counts[d]} times"
+                       for d, t in zip(dups.tolist(), _decode(dups, n))]
     return HashAuditReport(
         n=n,
-        total=sum(counts.values()),
+        total=len(codes),
         max_multiplicity=max_mult,
-        histogram=dict(sorted(hist.items())),
+        histogram=_histogram(counts),
         violations=violations,
     )
+
+
+def _triple_batches(i: np.ndarray, j: np.ndarray,
+                    n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    # one batch per r bounds the working set to one r's C(n, 2) inputs
+    for r in range(1, n):
+        yield (r, *_emit(*_triple_routes(i, j, r, n)))
 
 
 def audit_H_prime(n: int) -> HashAuditReport:
@@ -169,37 +281,35 @@ def audit_H_prime(n: int) -> HashAuditReport:
     collation); the report also carries the per-r maxima.
     """
     _audit_cap(n)
-    pooled: Counter[Triple] = Counter()
+    i, j = _pairs(n)
+    size = (n + 2) ** 3
+    pooled = np.zeros(size, dtype=np.int64)
     per_r_max: dict[int, int] = {}
     violations: list[str] = []
-    for r in range(1, n):
-        counts_r: Counter[Triple] = Counter()
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                for t in H_prime_n(i, j, r, n):
-                    counts_r[t] += 1
-                    if not (1 <= t.a <= t.b <= n):
-                        violations.append(f"{t} from ({i},{j},{r}): out of range")
-                    if not 1 <= t.c <= n:
-                        violations.append(f"{t} from ({i},{j},{r}): bucket out of range")
-                    # at n=2 the wrap h'(2,1)=1 collides with r and the
-                    # exclusion is vacuous; it holds for every n >= 3
-                    if n >= 3 and t.c in (t.a, t.b):
-                        violations.append(f"{t} from ({i},{j},{r}): bucket collides")
-        per_r_max[r] = max(counts_r.values()) if counts_r else 0
-        pooled.update(counts_r)
-    max_mult = max(pooled.values()) if pooled else 0
+    for r, tri, row in _triple_batches(i, j, n):
+        a, b, c = tri.T
+        violations += _flag(tri, [
+            (~((1 <= a) & (a <= b) & (b <= n)), "out of range"),
+            (~((1 <= c) & (c <= n)), "bucket out of range"),
+            # at n=2 the wrap h'(2,1)=1 collides with r and the
+            # exclusion is vacuous; it holds for every n >= 3
+            (((c == a) | (c == b)) & (n >= 3), "bucket collides"),
+        ], lambda k: f"({i[row[k]]},{j[row[k]]},{r})")
+        counts_r = np.bincount(_codes(tri, n), minlength=size)
+        per_r_max[r] = int(counts_r.max())
+        pooled += counts_r
+    max_mult = int(pooled.max())
     if max_mult > 5:
-        offenders = [t for t, c in pooled.items() if c > 5]
-        violations.append(f"multiplicity {max_mult} > 5 for {offenders[:5]}")
-    hist = Counter(pooled.values())
-    worst = sorted(t for t, c in pooled.items() if c == max_mult)
+        offenders = _first_emitted(
+            (_codes(tri, n) for _, tri, _ in _triple_batches(i, j, n)), pooled > 5)
+        violations.append(f"multiplicity {max_mult} > 5 for {_decode(offenders[:5], n)}")
+    worst = np.flatnonzero(pooled == max_mult)[:10] if max_mult else pooled[:0]
     return HashAuditReport(
         n=n,
-        total=sum(pooled.values()),
+        total=int(pooled.sum()),
         max_multiplicity=max_mult,
-        histogram=dict(sorted(hist.items())),
+        histogram=_histogram(pooled),
         violations=violations,
         per_r_max=per_r_max,
-        worst_triples=worst[:10],
+        worst_triples=_decode(worst, n),
     )

@@ -34,6 +34,13 @@ class TestHashAudit:
         assert rc == 0
         assert len(out.strip().splitlines()) >= 5
 
+    @pytest.mark.parametrize("n_max", ["1", "0", "-3"])
+    def test_empty_range_is_an_error(self, capsys, n_max):
+        rc, out, err = run(["hash", "audit", f"--n-max={n_max}"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: --n-max must be at least 2, got {n_max}\n"
+
 
 class TestConstructionsPlanar:
     def test_json_payload(self, capsys):
@@ -253,4 +260,19 @@ class TestConfigFlags:
                                    "--out-dir", str(tmp_path)], capsys)
             assert rc == 2
             assert err == file_err
+        assert not any(tmp_path.glob("*.json"))
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0.5,nan"])
+    def test_non_finite_thresholds_rejected(self, tmp_path, capsys, raw):
+        # `=` keeps argparse from reading "-inf" as an option
+        rc, out, err = run(["cluster", "--seed", "1", "--tensor", "t.csv",
+                            f"--threshold-grid={raw}", "--out-dir", str(tmp_path)], capsys)
+        assert rc == 2
+        assert err.startswith("error: config key 'threshold_grid': thresholds must be finite")
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"threshold_grid = {raw}\n")
+        rc, _, file_err = run(["cluster", "--seed", "1", "--tensor", "t.csv",
+                               "--config", str(cfg), "--out-dir", str(tmp_path)], capsys)
+        assert rc == 2
+        assert file_err == err
         assert not any(tmp_path.glob("*.json"))

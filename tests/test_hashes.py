@@ -1,8 +1,22 @@
 """Index maps and their exhaustive audits."""
 
+import numpy as np
 import pytest
 
-from mmot.hashes import H_n, H_prime_n, Triple, audit_H, audit_H_prime, h, h_prime
+import hash_oracle as oracle
+from mmot import hashes
+from mmot.hashes import (
+    AUDIT_CAP,
+    H_n,
+    H_prime_n,
+    Triple,
+    audit_H,
+    audit_H_prime,
+    h,
+    h_prime,
+)
+
+ORACLE_NS = [*range(2, 25), 40]
 
 
 class TestH:
@@ -86,13 +100,13 @@ class TestRouting:
 
 
 class TestAudits:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 11, 23, 40])
+    @pytest.mark.parametrize("n", range(2, AUDIT_CAP + 1))
     def test_pair_audit_collision_free(self, n):
         rep = audit_H(n)
         assert rep.ok, rep.violations
         assert rep.max_multiplicity == 1
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 11, 23, 40])
+    @pytest.mark.parametrize("n", range(2, AUDIT_CAP + 1))
     def test_triple_audit_bounded_by_five(self, n):
         rep = audit_H_prime(n)
         assert rep.ok, rep.violations
@@ -111,3 +125,135 @@ class TestAudits:
         rep = audit_H_prime(7)
         assert rep.per_r_max is not None
         assert max(rep.per_r_max.values()) <= rep.max_multiplicity
+
+    def test_cap_enforced(self):
+        for audit in (audit_H, audit_H_prime):
+            with pytest.raises(ValueError, match=f"audit cap is n <= {AUDIT_CAP}"):
+                audit(AUDIT_CAP + 1)
+
+    def test_n2_collision_is_exempt(self):
+        # h'(2,1) = 1 = r at n = 2, so a routed bucket meets its own pair
+        tri = [t for t in H_prime_n(1, 2, 1, 2) if t.c in (t.a, t.b)]
+        assert tri
+        assert audit_H_prime(2).ok
+
+
+def _emitted(slots, keep):
+    return [Triple(*t) for t in slots[keep].tolist()]
+
+
+def _loop_pairs(n):
+    return [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+
+
+class TestKernelsMatchOracle:
+    """The array kernels against the scalar maps and loop audits in hash_oracle."""
+
+    @pytest.mark.parametrize("n", ORACLE_NS)
+    def test_pair_routes_in_emission_order(self, n):
+        i, j = hashes._pairs(n)
+        assert list(zip(i.tolist(), j.tolist())) == _loop_pairs(n)
+        expected = [t for a, b in _loop_pairs(n) for t in oracle.H_n(a, b, n)]
+        assert _emitted(*hashes._pair_routes(i, j, n)) == expected
+
+    @pytest.mark.parametrize("n", ORACLE_NS)
+    def test_triple_routes_in_emission_order(self, n):
+        i, j = hashes._pairs(n)
+        for r in range(1, n):
+            expected = [t for a, b in _loop_pairs(n) for t in oracle.H_prime_n(a, b, r, n)]
+            assert _emitted(*hashes._triple_routes(i, j, r, n)) == expected
+
+    @pytest.mark.parametrize("n", ORACLE_NS)
+    def test_audit_reports_equal(self, n):
+        assert audit_H(n) == oracle.audit_H(n)
+        assert audit_H_prime(n) == oracle.audit_H_prime(n)
+
+    def test_scalar_wrappers_equal(self):
+        for n in range(2, 13):
+            for i in range(1, n + 1):
+                assert h(i, n) == oracle.h(i, n)
+                assert type(h(i, n)) is int
+                for r in range(1, n):
+                    assert h_prime(i, r, n) == oracle.h_prime(i, r, n)
+                for j in range(i + 1, n + 1):
+                    assert H_n(i, j, n) == oracle.H_n(i, j, n)
+                    for r in range(1, n):
+                        assert H_prime_n(i, j, r, n) == oracle.H_prime_n(i, j, r, n)
+        assert all(type(x) is int for t in H_prime_n(1, 3, 2, 5) for x in t)
+
+
+def _plant(monkeypatch, kernel, route, faults):
+    """Overwrite emitted triple 0 of each listed input in kernel and oracle alike.
+
+    `faults` maps an input ((i, j) or (i, j, r)) to its planted triple; slot
+    0 of both layouts is always kept, so it is emission position 0 in both.
+    """
+    array_kernel = getattr(hashes, kernel)
+    scalar_route = getattr(oracle, route)
+
+    def planted_kernel(*args):
+        slots, keep = array_kernel(*args)
+        inputs = np.broadcast_arrays(*args[:-1])
+        for src, value in faults.items():
+            hit = np.logical_and.reduce([x == v for x, v in zip(inputs, src)])
+            slots[hit, 0] = value
+        return slots, keep
+
+    def planted_route(*args):
+        out = scalar_route(*args)
+        if args[:-1] in faults:
+            out[0] = Triple(*faults[args[:-1]])
+        return out
+
+    monkeypatch.setattr(hashes, kernel, planted_kernel)
+    monkeypatch.setattr(oracle, route, planted_route)
+
+
+class TestPlantedFaults:
+    """Each audit check fires on a planted fault, with the oracle's message."""
+
+    @pytest.mark.parametrize("faults, wording", [
+        ({(2, 3): (0, 3, 1)}, "Triple(a=0, b=3, c=1) from (2,3): first two out of range"),
+        ({(2, 3): (3, 3, 1)}, "Triple(a=3, b=3, c=1) from (2,3): first two out of range"),
+        ({(2, 3): (2, 3, 6)}, "Triple(a=2, b=3, c=6) from (2,3): third out of range"),
+        ({(2, 3): (2, 3, 3)}, "Triple(a=2, b=3, c=3) from (2,3): bucket collides"),
+        # (2,6,5) is first emitted before (1,3,5), though it sorts after it
+        ({(3, 5): (1, 3, 5), (2, 4): (2, 6, 5)},
+         "duplicate triple Triple(a=2, b=6, c=5) appears 2 times"),
+    ])
+    def test_pair_audit(self, monkeypatch, faults, wording):
+        _plant(monkeypatch, "_pair_routes", "H_n", faults)
+        rep = audit_H(5)
+        assert not rep.ok
+        assert wording in rep.violations
+        assert rep == oracle.audit_H(5)
+
+    @pytest.mark.parametrize("faults, wording", [
+        ({(2, 3, 1): (0, 3, 1)}, "Triple(a=0, b=3, c=1) from (2,3,1): out of range"),
+        ({(2, 3, 1): (3, 2, 1)}, "Triple(a=3, b=2, c=1) from (2,3,1): out of range"),
+        ({(2, 3, 1): (2, 3, 5)}, "Triple(a=2, b=3, c=5) from (2,3,1): bucket out of range"),
+        ({(2, 3, 1): (2, 3, 3)}, "Triple(a=2, b=3, c=3) from (2,3,1): bucket collides"),
+        ({(1, 2, 1): (2, 3, 1)},
+         "multiplicity 6 > 5 for [Triple(a=2, b=3, c=1)]"),
+    ])
+    def test_triple_audit(self, monkeypatch, faults, wording):
+        _plant(monkeypatch, "_triple_routes", "H_prime_n", faults)
+        rep = audit_H_prime(4)
+        assert not rep.ok
+        assert wording in rep.violations
+        assert rep == oracle.audit_H_prime(4)
+
+    def test_offenders_in_first_emission_order(self, monkeypatch):
+        # (1,4,2) goes from 4 to 6 and is now the very first triple emitted;
+        # (1,2,3) goes from 5 to 6 and sorts before it
+        faults = {(1, 2, 1): (1, 4, 2), (2, 4, 3): (1, 4, 2), (3, 4, 3): (1, 2, 3)}
+        _plant(monkeypatch, "_triple_routes", "H_prime_n", faults)
+        rep = audit_H_prime(4)
+        assert rep.violations == [
+            "multiplicity 6 > 5 for [Triple(a=1, b=4, c=2), Triple(a=1, b=2, c=3)]"]
+        assert rep == oracle.audit_H_prime(4)
+
+    def test_uncountable_component_raises(self, monkeypatch):
+        _plant(monkeypatch, "_pair_routes", "H_n", {(2, 3): (2, 3, 7)})
+        with pytest.raises(ValueError, match="outside \\[0, 6\\] and cannot be counted"):
+            audit_H(5)
