@@ -76,6 +76,9 @@ def _run_hash_audit(args: argparse.Namespace) -> int:
     ns = [args.n] if args.n is not None else list(range(2, args.n_max + 1))
     if not ns:
         raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
+    # refuse the whole range up front rather than after auditing its start
+    if ns[-1] > hashes.AUDIT_CAP:
+        raise ValueError(f"audit cap is n <= {hashes.AUDIT_CAP}, got {ns[-1]}")
     bad = 0
     for n in ns:
         for rep in (hashes.audit_H(n), hashes.audit_H_prime(n)):
@@ -90,7 +93,7 @@ def _run_constructions_planar(args: argparse.Namespace) -> int:
     data = {
         "epsilon": inst.epsilon,
         "gamma": inst.gamma,
-        "points": [list(a.coords()) for a in inst.points],
+        "points": inst.points.tolist(),
         "w_values": {",".join(map(str, key)): val
                      for key, val in sorted(inst.w_values.items())},
         "margin": inst.margin,

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Atom, DiscreteDistribution
+from .core import DiscreteDistribution, same_atoms
 from .transport import SENTINEL_COST, PairwiseCost, mmot
 
 __all__ = [
@@ -34,10 +34,10 @@ def _areas(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
 
 
-def triangle_area_cost(supports: Sequence[Sequence[Atom]],
+def triangle_area_cost(supports: Sequence[np.ndarray],
                        gamma: float | None) -> np.ndarray:
-    """Cost over three atom lists: 0 if all three atoms are equal, gamma if
-    exactly two are, else the area of their triangle.
+    """Cost over three (m, 2) supports: 0 if all three atoms are equal,
+    gamma if exactly two are, else the area of their triangle.
 
     gamma None takes half the smallest positive area (1e-9 when no
     triangle has one), so coincidence penalties never dominate real
@@ -45,14 +45,11 @@ def triangle_area_cost(supports: Sequence[Sequence[Atom]],
     """
     if gamma is not None and gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    a0, a1, a2 = supports
-    areas = _areas(*(np.array([a.coords() for a in atoms]) for atoms in supports))
-    eq01 = np.array([[x == y for y in a1] for x in a0])
-    eq02 = np.array([[x == y for y in a2] for x in a0])
-    eq12 = np.array([[x == y for y in a2] for x in a1])
-    n_eq = (eq01[:, :, None].astype(int)
-            + eq02[:, None, :].astype(int)
-            + eq12[None, :, :].astype(int))
+    a0, a1, a2 = (np.asarray(s, dtype=float) for s in supports)
+    areas = _areas(a0, a1, a2)
+    n_eq = (same_atoms(a0, a1)[:, :, None].astype(int)
+            + same_atoms(a0, a2)[:, None, :].astype(int)
+            + same_atoms(a1, a2)[None, :, :].astype(int))
     if gamma is None:
         positive = areas[areas > 1e-12]
         gamma = 0.5 * float(positive.min()) if positive.size else 1e-9
@@ -62,7 +59,7 @@ def triangle_area_cost(supports: Sequence[Sequence[Atom]],
 
 @dataclass(frozen=True, eq=False)
 class PlanarInstance:
-    """Six planar points and four distributions over them.
+    """Six planar points, rows of a (6, 2) array, and four distributions over them.
 
     Two singletons and two uniform pairs, plus the epsilon-scaled cost
     floor gamma; w_values holds the four validated transport values and
@@ -72,7 +69,7 @@ class PlanarInstance:
 
     epsilon: float
     gamma: float
-    points: tuple[Atom, ...]
+    points: np.ndarray
     distributions: tuple[DiscreteDistribution, ...]
     atom_indices: tuple[tuple[int, ...], ...]
     w_values: dict[tuple[int, ...], float]
@@ -117,10 +114,11 @@ def planar_counterexample(epsilon: float) -> PlanarInstance:
         (0.75 - e, 1.0 - e),
     ]
     _check_geometry(pts, gamma)
-    points = tuple(Atom.point(x, y) for x, y in pts)
+    points = np.array(pts)
+    points.setflags(write=False)
     idx = ((0,), (1,), (2, 3), (4, 5))
     dists = tuple(
-        DiscreteDistribution(tuple(points[i] for i in ix), np.ones(len(ix)) / len(ix))
+        DiscreteDistribution(points[list(ix)], np.ones(len(ix)) / len(ix))
         for ix in idx
     )
     expected = {
@@ -175,7 +173,7 @@ def collinear_instance(
         for t in offsets
     ]
     dists = [
-        DiscreteDistribution(tuple(Atom.real(x) for x in xs), np.ones(m) / m)
+        DiscreteDistribution(xs, np.ones(m) / m)
         for xs in supports
     ]
     mats = {}

@@ -1,13 +1,15 @@
-"""Finite probability spaces: atoms, distributions, joint masses, gluing.
+"""Finite probability spaces: supports, distributions, joint masses, gluing.
 
-Everything here is dense and desk-scale.  Joint masses are plain numpy
-tensors wrapped with validation; the gluing map assembles a full joint
-from a pivot marginal and per-axis conditionals.
+Everything here is dense and desk-scale.  A support is an (m, d) array
+of coordinate rows, and `same_atoms` holds the one rule for when two
+rows are the same atom.  Joint masses are plain numpy tensors wrapped
+with validation; the gluing map assembles a full joint from a pivot
+marginal and per-axis conditionals.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -15,7 +17,8 @@ __all__ = [
     "ATOM_TOL",
     "MASS_TOL",
     "MAX_ENTRIES",
-    "Atom",
+    "same_atoms",
+    "distinct_atoms",
     "DiscreteDistribution",
     "JointMass",
     "ConditionalMass",
@@ -31,44 +34,46 @@ MASS_TOL = 1e-9
 MAX_ENTRIES = 10_000_000
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A point of a finite sample space: real scalar, planar point, or label.
+def _points(atoms) -> np.ndarray:
+    """A support as an (m, d) float array; a 1-d input is m real atoms."""
+    pts = np.asarray(atoms, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2:
+        raise ValueError(f"a support must be a 1-d or (m, d) array, got shape {pts.shape}")
+    return pts
 
-    Planar points double as complex numbers (eigenvalue supports).  Numeric
-    payloads compare equal within ATOM_TOL per coordinate; labels exactly.
+
+def same_atoms(a, b) -> np.ndarray:
+    """(len a, len b) mask of coinciding atoms: every coordinate within ATOM_TOL.
+
+    Supports of different dimension never share an atom; comparing them
+    is a usage error rather than a broadcast.
     """
+    a, b = _points(a), _points(b)
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"atom dimensions differ: {a.shape[1]} vs {b.shape[1]}")
+    return np.all(np.abs(a[:, None, :] - b[None, :, :]) <= ATOM_TOL, axis=2)
 
-    kind: str
-    value: tuple
 
-    @staticmethod
-    def real(x: float) -> "Atom":
-        return Atom("real", (float(x),))
+def distinct_atoms(points) -> tuple[np.ndarray, np.ndarray]:
+    """First-match dedupe: (kept rows, owner of each row among the kept).
 
-    @staticmethod
-    def point(x: float, y: float) -> "Atom":
-        return Atom("point", (float(x), float(y)))
-
-    @staticmethod
-    def label(name: str) -> "Atom":
-        return Atom("label", (str(name),))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Atom):
-            return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.kind == "label":
-            return self.value == other.value
-        return all(abs(a - b) <= ATOM_TOL for a, b in zip(self.value, other.value))
-
-    __hash__ = None  # tolerance-based equality is not hashable
-
-    def coords(self) -> np.ndarray:
-        if self.kind == "label":
-            raise ValueError("label atoms have no coordinates; resolve through a cost lookup")
-        return np.asarray(self.value, dtype=float)
+    A row joins the first kept atom it coincides with and is kept when
+    there is none.  Tolerance equality is not transitive, so rows are
+    matched against kept atoms only, never against other joined rows.
+    """
+    pts = _points(points)
+    same = same_atoms(pts, pts)
+    owners = np.full(len(pts), -1)
+    kept: list[int] = []
+    # the first unowned row matches no kept atom, so it is the next one kept
+    while (free := np.flatnonzero(owners < 0)).size:
+        r = free[0]
+        owners[free[same[free, r]]] = len(kept)
+        owners[r] = len(kept)
+        kept.append(r)
+    return pts[kept], owners
 
 
 def _check_total_mass(total: float, what: str) -> None:
@@ -78,24 +83,26 @@ def _check_total_mass(total: float, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
-    """Atoms with strictly positive masses summing to one."""
+    """Pairwise distinct atoms, rows of an (m, d) array, with strictly
+    positive masses summing to one."""
 
-    atoms: tuple
+    atoms: np.ndarray
     masses: np.ndarray = field(repr=False)
 
-    def __init__(self, atoms: Sequence[Atom], masses: Iterable[float]):
-        atoms = tuple(atoms)
+    def __init__(self, atoms, masses: Iterable[float]):
+        atoms = np.array(_points(atoms))
         masses = np.asarray(list(masses), dtype=float)
-        if len(atoms) != masses.shape[0] or masses.ndim != 1 or len(atoms) == 0:
+        if masses.ndim != 1 or len(atoms) != masses.shape[0] or len(atoms) == 0:
             raise ValueError("atoms and masses must be equal-length nonempty sequences")
         if np.any(masses <= 0):
             raise ValueError("masses must be strictly positive")
         _check_total_mass(float(masses.sum()), "masses")
         masses = masses / masses.sum()
-        for s in range(len(atoms)):
-            for t in range(s + 1, len(atoms)):
-                if atoms[s] == atoms[t]:
-                    raise ValueError(f"atoms {s} and {t} coincide; atoms must be pairwise distinct")
+        clash = np.argwhere(np.triu(same_atoms(atoms, atoms), 1))
+        if clash.size:
+            s, t = clash[0]
+            raise ValueError(f"atoms {s} and {t} coincide; atoms must be pairwise distinct")
+        atoms.setflags(write=False)
         masses.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "masses", masses)

@@ -36,7 +36,15 @@ from .clustering import (
     tune_threshold,
 )
 from .constructions import collinear_instance, planar_counterexample, triangle_area_cost
-from .core import Atom, DiscreteDistribution, JointMass, braket, conditional, glue, marginal
+from .core import (
+    DiscreteDistribution,
+    JointMass,
+    braket,
+    conditional,
+    distinct_atoms,
+    glue,
+    marginal,
+)
 from .graphs import DEFAULT_FAMILIES, Graph, generate, load_graph, perturb, signature
 from .metric_props import (
     DistanceTensor,
@@ -278,25 +286,15 @@ def build_corpus(config: ExperimentConfig) -> list[CorpusGraph]:
     return out
 
 
-def signature_distribution(sig) -> DiscreteDistribution:
-    """Uniform distribution over the signature's eigenvalue multiset.
+def signature_distribution(values: np.ndarray) -> DiscreteDistribution:
+    """Uniform distribution over an eigenvalue multiset, as planar atoms.
 
     Coincident eigenvalues merge into one atom carrying the multiplicity,
     since support atoms must be pairwise distinct.
     """
-    atoms: list[Atom] = []
-    counts: list[int] = []
-    for z in sig.values:
-        a = Atom.point(float(z.real), float(z.imag))
-        for idx, existing in enumerate(atoms):
-            if existing == a:
-                counts[idx] += 1
-                break
-        else:
-            atoms.append(a)
-            counts.append(1)
-    masses = np.array(counts, dtype=float) / float(len(sig.values))
-    return DiscreteDistribution(atoms, masses)
+    values = np.asarray(values, dtype=complex)
+    atoms, owners = distinct_atoms(np.column_stack([values.real, values.imag]))
+    return DiscreteDistribution(atoms, np.bincount(owners) / len(values))
 
 
 def _tuple_distance(backend: str, ps: Sequence[DiscreteDistribution], ell: int) -> float:
@@ -309,13 +307,8 @@ def _tuple_distance(backend: str, ps: Sequence[DiscreteDistribution], ell: int) 
         })
         return pairwise_mmot(list(ps), cost, ell=ell).value
     if backend == "mmot_barycenter":
-        omega: list[Atom] = []
-        for p in ps:
-            for a in p.atoms:
-                if not any(o == a for o in omega):
-                    omega.append(a)
-        coords = np.array([o.coords() for o in omega])
-        base = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+        omega, _ = distinct_atoms(np.concatenate([p.atoms for p in ps]))
+        base = np.linalg.norm(omega[:, None, :] - omega[None, :, :], axis=2)
         return barycenter_mmot(list(ps), omega, base).value
     if backend == "mmot_nonmetric":
         return mmot(list(ps), triangle_area_cost([p.atoms for p in ps], None),

@@ -6,7 +6,6 @@ which (unlike adjacency spectra) separate the families used here.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -15,7 +14,6 @@ from .linalg import eig_general
 
 __all__ = [
     "Graph",
-    "SpectralSignature",
     "DEFAULT_FAMILIES",
     "generate",
     "perturb",
@@ -228,24 +226,14 @@ def nonbacktracking_matrix(g: Graph) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralSignature:
-    """Leading non-backtracking eigenvalues, largest modulus first."""
-
-    values: np.ndarray
-    top_k: int
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def signature(g: Graph, top_k: int = 16) -> SpectralSignature:
+def signature(g: Graph, top_k: int = 16) -> np.ndarray:
+    """Leading top_k non-backtracking eigenvalues in canonical order, read-only."""
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")
     vals = eig_general(nonbacktracking_matrix(g))
     vals = vals[:top_k].copy()
     vals.setflags(write=False)
-    return SpectralSignature(values=vals, top_k=top_k)
+    return vals
 
 
 def load_graph(path: str) -> Graph:

@@ -19,11 +19,11 @@ SYMMETRY_TOL = 1e-9
 def sort_complex_spectrum(values: np.ndarray) -> np.ndarray:
     """Order eigenvalues canonically: |z| desc, |arg z| asc, +imag before -imag."""
     values = np.asarray(values, dtype=complex)
-    keys = np.array(
-        [(-abs(z), abs(np.angle(z)), -z.imag, -z.real) for z in values],
-        dtype=float,
-    )
-    order = np.lexsort(keys.T[::-1])
+    # np.hypot is bit-identical to abs() of a Python complex; np.abs of a
+    # complex array can differ in the last bit, which would reorder
+    # eigenvalues of equal modulus.  lexsort takes its primary key last.
+    modulus = np.hypot(values.real, values.imag)
+    order = np.lexsort((-values.real, -values.imag, np.abs(np.angle(values)), -modulus))
     return values[order]
 
 

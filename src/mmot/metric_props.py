@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lp
-from .core import Atom, JointMass
+from .core import JointMass, same_atoms
 from .transport import PairwiseCost
 
 __all__ = [
@@ -286,9 +286,13 @@ class _PairView:
 
 def check_metric(
     d: PairwiseCost | Mapping[tuple, np.ndarray],
-    atoms: Sequence[Sequence[Atom]],
+    atoms: Sequence[np.ndarray],
 ) -> MetricReport:
-    """Exhaustively audit nonnegativity, symmetry, identity, triangle."""
+    """Exhaustively audit nonnegativity, symmetry, identity, triangle.
+
+    `atoms[i]` is the support of space i; the matrix of pair (i, j) is
+    over the atoms of space i by those of space j.
+    """
     rep = MetricReport(nonnegative=True, identity=True, symmetric=True, triangle=True)
     view = _PairView(d)
     for (i, j) in sorted(view.pairs):
@@ -309,15 +313,15 @@ def check_metric(
                 rep.symmetric = False
                 rep.violations.append({"kind": "symmetry", "where": [i, j],
                                        "margin": 0.0})
-        for s in range(m.shape[0]):
-            for t in range(m.shape[1]):
-                same = atoms[i][s] == atoms[j][t]
-                zero = abs(m[s, t]) <= ZERO_TOL
-                if same != zero:
-                    rep.identity = False
-                    rep.violations.append({"kind": "identity",
-                                           "where": [i, j, s, t],
-                                           "margin": float(m[s, t])})
+        same = same_atoms(atoms[i], atoms[j])
+        if same.shape != m.shape:
+            raise ValueError(f"cost for pair ({i},{j}) has shape {m.shape}, "
+                             f"supports have {same.shape}")
+        for s, t in np.argwhere(same != (np.abs(m) <= ZERO_TOL)):
+            rep.identity = False
+            rep.violations.append({"kind": "identity",
+                                   "where": [i, j, int(s), int(t)],
+                                   "margin": float(m[s, t])})
     present = view.pairs
     n_spaces = len(atoms)
     for i in range(n_spaces):
@@ -347,13 +351,13 @@ def check_metric(
 
 def check_n_metric_cost(
     cost: np.ndarray,
-    atoms: Sequence[Atom],
+    atoms: np.ndarray,
     C: float = 1.0,
     tol: float = ZERO_TOL,
 ) -> MetricReport:
     """Audit the four generalized-metric properties of a shared cost tensor.
 
-    `cost` is an n-way array over one common atom list; the generalized
+    `cost` is an n-way array over one common support; the generalized
     triangle inequality is scanned over every (n+1)-tuple of indices.
     """
     cost = np.asarray(cost, dtype=float)
@@ -373,15 +377,16 @@ def check_n_metric_cost(
             rep.symmetric = False
             rep.violations.append({"kind": "symmetry", "where": list(perm),
                                    "margin": 0.0})
-    # atoms are pairwise distinct within one list, so "all atoms equal"
-    # collapses to "all indices equal"
-    for idx in np.ndindex(*cost.shape):
-        all_equal = all(atoms[t] == atoms[idx[0]] for t in idx[1:])
-        zero = abs(cost[idx]) <= tol
-        if all_equal != zero:
-            rep.identity = False
-            rep.violations.append({"kind": "identity", "where": list(idx),
-                                   "margin": float(cost[idx])})
+    # a cell's atoms are "all equal" when each coincides with the first
+    same = same_atoms(atoms, atoms)
+    all_equal = np.ones(cost.shape, dtype=bool)
+    for t in range(1, n):
+        all_equal &= np.expand_dims(same, [a for a in range(n) if a not in (0, t)])
+    for idx in np.argwhere(all_equal != (np.abs(cost) <= tol)):
+        idx = tuple(int(v) for v in idx)
+        rep.identity = False
+        rep.violations.append({"kind": "identity", "where": list(idx),
+                               "margin": float(cost[idx])})
     lhs = C * np.expand_dims(cost, n)
     rhs = np.zeros((m,) * (n + 1))
     for r in range(1, n + 1):

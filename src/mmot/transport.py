@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lp
-from .core import MAX_ENTRIES, DiscreteDistribution, JointMass, marginal
+from .core import MAX_ENTRIES, DiscreteDistribution, JointMass, marginal, same_atoms
 
 __all__ = [
     "SENTINEL_COST",
@@ -26,7 +26,6 @@ __all__ = [
     "mmot",
     "pairwise_mmot",
     "barycenter_mmot",
-    "lower_bound_pairwise",
     "euclidean_cost",
 ]
 
@@ -75,8 +74,7 @@ class TransportResult:
 
 def euclidean_cost(p1: DiscreteDistribution, p2: DiscreteDistribution) -> np.ndarray:
     """Pairwise Euclidean distances between two supports of coordinate atoms."""
-    a = np.array([atom.coords() for atom in p1.atoms])
-    b = np.array([atom.coords() for atom in p2.atoms])
+    a, b = p1.atoms, p2.atoms
     if a.shape[1] != b.shape[1]:
         raise ValueError("atom dimensions differ between the two distributions")
     return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
@@ -207,10 +205,19 @@ def pairwise_mmot(
     return TransportResult(value, coupling, per_pair_terms=terms)
 
 
+def _omega_index(atoms: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Position of each atom in Omega: the first Omega atom it coincides with."""
+    same = same_atoms(atoms, omega)
+    missing = np.flatnonzero(~same.any(axis=1))
+    if missing.size:
+        raise ValueError(f"atom {atoms[missing[0]].tolist()} is not in Omega")
+    return same.argmax(axis=1)
+
+
 def barycenter_mmot(
-    dists: Sequence[DiscreteDistribution], omega: Sequence, base: np.ndarray
+    dists: Sequence[DiscreteDistribution], omega: np.ndarray, base: np.ndarray
 ) -> TransportResult:
-    """Barycenter MMOT over a shared atom list Omega with base cost on Omega.
+    """Barycenter MMOT over a shared support Omega with base cost on Omega.
 
     Cost of a support combination is min_w sum_s base(w^s, w), the cheapest
     single meeting point in Omega.
@@ -221,17 +228,7 @@ def barycenter_mmot(
         raise ValueError(f"base cost shape {base.shape} does not match |Omega|={n_omega}")
     if np.any(base < 0):
         raise ValueError("base cost must be nonnegative")
-    index_maps = []
-    for p in dists:
-        idx = []
-        for atom in p.atoms:
-            for w, om in enumerate(omega):
-                if atom == om:
-                    idx.append(w)
-                    break
-            else:
-                raise ValueError(f"atom {atom!r} is not in Omega")
-        index_maps.append(np.asarray(idx))
+    index_maps = [_omega_index(p.atoms, omega) for p in dists]
     shape = tuple(p.size for p in dists)
     if int(np.prod(shape)) * n_omega > MAX_ENTRIES:
         raise ValueError("barycenter cost tensor would exceed the entry cap")
@@ -244,11 +241,3 @@ def barycenter_mmot(
         cost = cost + base[idx][tuple(expand)]
     tensor = cost.min(axis=-1)
     return mmot(list(dists), tensor, ell=1)
-
-
-def lower_bound_pairwise(dists: Sequence[DiscreteDistribution], d: PairwiseCost) -> float:
-    """Sum of pairwise Wasserstein distances; a lower bound for pairwise_mmot."""
-    total = 0.0
-    for s, t in combinations(range(len(dists)), 2):
-        total += wasserstein(dists[s], dists[t], d.get(s, t), ell=1).value
-    return float(total)

@@ -22,7 +22,6 @@ from test_transport import random_1d, w1d_oracle
 from mmot import lp
 from mmot.constructions import collinear_instance, planar_counterexample
 from mmot.core import (
-    Atom,
     ConditionalMass,
     DiscreteDistribution,
     JointMass,
@@ -66,7 +65,7 @@ def _random_planar(rng, m):
     pts = rng.uniform(-1, 1, size=(int(m), 2))
     mass = rng.uniform(0.1, 1.0, size=int(m))
     mass /= mass.sum()
-    return DiscreteDistribution([Atom.point(x, y) for x, y in pts], mass)
+    return DiscreteDistribution(pts, mass)
 
 
 def _euclidean_pairs(ps):

@@ -41,6 +41,12 @@ class TestHashAudit:
         assert out == ""
         assert err == f"error: --n-max must be at least 2, got {n_max}\n"
 
+    def test_range_past_the_cap_is_refused_before_any_audit(self, capsys):
+        rc, out, err = run(["hash", "audit", "--n-max", "61"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: audit cap is n <= 60, got 61\n"
+
 
 class TestConstructionsPlanar:
     def test_json_payload(self, capsys):

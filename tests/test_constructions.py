@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from mmot.constructions import collinear_instance, planar_counterexample, triangle_area_cost
-from mmot.core import Atom
 from mmot.metric_props import leave_one_out_ratios
+
+from atom_oracle import as_atoms
 from mmot.transport import mmot, pairwise_mmot
 
 
 def triangle_area_cost_oracle(points, gamma):
     """Cell-by-cell build over one shared point list."""
+    points = as_atoms(points)
     m = len(points)
     coords = [p.coords() for p in points]
     cost = np.zeros((m, m, m))
@@ -33,7 +35,7 @@ def triangle_area_cost_oracle(points, gamma):
 
 class TestTriangleAreaCost:
     def test_hand_values(self):
-        pts = [Atom.point(0, 0), Atom.point(1, 0), Atom.point(0, 1)]
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         cost = triangle_area_cost([pts] * 3, gamma=0.01)
         assert cost[0, 1, 2] == pytest.approx(0.5, abs=1e-15)
         assert cost[0, 0, 0] == 0.0
@@ -42,14 +44,14 @@ class TestTriangleAreaCost:
 
     def test_symmetric_in_all_arguments(self):
         rng = np.random.default_rng(3)
-        pts = [Atom.point(x, y) for x, y in rng.uniform(-1, 1, size=(4, 2))]
+        pts = rng.uniform(-1, 1, size=(4, 2))
         cost = triangle_area_cost([pts] * 3, gamma=0.05)
         for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
             np.testing.assert_allclose(cost, np.transpose(cost, perm), atol=1e-15)
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
-            triangle_area_cost([[Atom.point(0, 0)]] * 3, gamma=0.0)
+            triangle_area_cost([np.zeros((1, 2))] * 3, gamma=0.0)
 
     def test_matches_cell_by_cell_oracle(self):
         # same arithmetic in the same order, so equal to the last bit
@@ -58,9 +60,9 @@ class TestTriangleAreaCost:
             inst.cost(), triangle_area_cost_oracle(inst.points, inst.gamma))
 
     def test_derived_gamma_is_half_the_smallest_area(self):
-        s0 = [Atom.point(0, 0), Atom.point(2, 0)]
-        s1 = [Atom.point(2, 0), Atom.point(0, 1)]
-        s2 = [Atom.point(0, 1), Atom.point(3, 3)]
+        s0 = np.array([[0.0, 0.0], [2.0, 0.0]])
+        s1 = np.array([[2.0, 0.0], [0.0, 1.0]])
+        s2 = np.array([[0.0, 1.0], [3.0, 3.0]])
         cost = triangle_area_cost([s0, s1, s2], gamma=None)
         # the smallest proper triangle, (0,0)-(2,0)-(0,1), has area 1
         assert cost[0, 0, 0] == 1.0

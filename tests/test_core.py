@@ -1,4 +1,4 @@
-"""Atoms, distributions, joint masses, and the gluing construction."""
+"""Atom identity, distributions, joint masses, and the gluing construction."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mmot.core import (
     MASS_TOL,
-    Atom,
     ConditionalMass,
     DiscreteDistribution,
     JointMass,
@@ -15,6 +14,7 @@ from mmot.core import (
     conditional,
     glue,
     marginal,
+    same_atoms,
 )
 
 
@@ -25,35 +25,35 @@ def random_joint(rng, shape):
 
 class TestAtom:
     def test_numeric_equality_is_toleranced(self):
-        assert Atom.real(1.0) == Atom.real(1.0 + 1e-13)
-        assert Atom.real(1.0) != Atom.real(1.0 + 1e-11)
-        assert Atom.point(0.0, 2.0) == Atom.point(0.0, 2.0 + 1e-13)
-        assert Atom.point(0.0, 2.0) != Atom.point(0.0, 2.0 + 1e-11)
+        assert same_atoms([1.0], [1.0 + 1e-13]).tolist() == [[True]]
+        assert same_atoms([1.0], [1.0 + 1e-11]).tolist() == [[False]]
+        assert same_atoms([[0.0, 2.0]], [[0.0, 2.0 + 1e-13]]).tolist() == [[True]]
+        assert same_atoms([[0.0, 2.0]], [[0.0, 2.0 + 1e-11]]).tolist() == [[False]]
 
-    def test_kind_mismatch_never_equal(self):
-        assert Atom.real(1.0) != Atom.point(1.0, 0.0)
-        assert Atom.label("1.0") != Atom.real(1.0)
-
-    def test_labels_compare_exactly(self):
-        assert Atom.label("ab") == Atom.label("ab")
-        assert Atom.label("ab") != Atom.label("ac")
+    def test_dimension_mismatch_raises(self):
+        # a real atom is never a planar one; a (m, 1) against (k, 2)
+        # broadcast would compare the one coordinate with both
+        with pytest.raises(ValueError, match="dimensions differ"):
+            same_atoms([1.0], [[1.0, 0.0]])
+        with pytest.raises(ValueError, match="dimensions differ"):
+            same_atoms([[1.0, 1.0]], [1.0])
 
 
 class TestDiscreteDistribution:
     def test_masses_must_sum_to_one(self):
-        a = [Atom.real(0.0), Atom.real(1.0)]
+        a = [0.0, 1.0]
         with pytest.raises(ValueError):
             DiscreteDistribution(a, [0.5, 0.4])
         d = DiscreteDistribution(a, [0.5, 0.5 + 0.5 * MASS_TOL])
         assert d.size == 2
 
     def test_negative_mass_rejected(self):
-        a = [Atom.real(0.0), Atom.real(1.0)]
+        a = [0.0, 1.0]
         with pytest.raises(ValueError):
             DiscreteDistribution(a, [1.5, -0.5])
 
     def test_duplicate_atoms_rejected(self):
-        a = [Atom.real(0.0), Atom.real(0.0 + 1e-14)]
+        a = [0.0, 0.0 + 1e-14]
         with pytest.raises(ValueError):
             DiscreteDistribution(a, [0.5, 0.5])
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import mmot
-from mmot.core import Atom
 from mmot.experiments import (
     ExperimentConfig,
     _blocked_triples,

@@ -184,16 +184,15 @@ class TestNonbacktracking:
 class TestSignature:
     def test_truncates_to_top_k(self):
         sig = signature(complete(6), top_k=4)
-        assert len(sig.values) == 4
-        assert sig.top_k == 4
+        assert len(sig) == 4
 
     def test_short_spectra_keep_everything(self):
         sig = signature(cycle(3), top_k=16)
-        assert len(sig.values) == 6
+        assert len(sig) == 6
 
     def test_moduli_nonincreasing(self):
         sig = signature(grid2d_periodic(3, 4), top_k=12)
-        mods = np.abs(sig.values)
+        mods = np.abs(sig)
         assert np.all(mods[:-1] >= mods[1:] - 1e-12)
 
 

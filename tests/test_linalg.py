@@ -6,6 +6,20 @@ import pytest
 from mmot.linalg import eig_general, eig_symmetric, sort_complex_spectrum
 
 
+def sort_complex_spectrum_oracle(values):
+    """The per-eigenvalue key tuples the array sort replaced."""
+    values = np.asarray(values, dtype=complex)
+    keys = np.array(
+        [(-abs(z), abs(np.angle(z)), -z.imag, -z.real) for z in values],
+        dtype=float,
+    )
+    order = np.lexsort(keys.T[::-1])
+    return values[order]
+
+
+SPECTRA = ["conjugate_pairs", "modulus_ties", "zeros", "real", "rounded", "eigvals"]
+
+
 def as_multiset(values, digits=9):
     return sorted((round(z.real, digits), round(z.imag, digits)) for z in values)
 
@@ -30,6 +44,34 @@ class TestSortComplexSpectrum:
         out = sort_complex_spectrum(vals)
         mods = np.abs(out)
         assert np.all(mods[:-1] >= mods[1:] - 1e-15)
+
+
+    @pytest.mark.parametrize("case", SPECTRA)
+    def test_order_matches_key_tuple_oracle(self, case):
+        rng = np.random.default_rng(SPECTRA.index(case))
+        for _ in range(50):
+            k = int(rng.integers(1, 12))
+            if case == "conjugate_pairs":
+                z = rng.normal(size=k) + 1j * rng.normal(size=k)
+                vals = np.concatenate([z, np.conj(z), rng.normal(size=2)])
+            elif case == "modulus_ties":
+                # equal moduli at many angles, both signs of each part
+                angles = rng.choice([0, 1, 2, 3, 4, 6], size=k) * np.pi / 6
+                vals = rng.choice([1.0, 2.0], size=k) * np.exp(1j * angles)
+                vals = np.concatenate([vals, -vals, np.conj(vals), 1j * vals.real])
+            elif case == "zeros":
+                vals = np.concatenate([np.zeros(k), rng.normal(size=3),
+                                       [complex(-0.0, 0.0), complex(0.0, -0.0)]])
+            elif case == "real":
+                vals = np.concatenate([rng.normal(size=k), -np.abs(rng.normal(size=3))])
+            elif case == "rounded":
+                vals = np.round(rng.normal(size=k) + 1j * rng.normal(size=k), 1)
+                vals = np.concatenate([vals, np.conj(vals), -vals])
+            else:
+                vals = np.linalg.eigvals(rng.normal(size=(k, k)))
+            vals = vals[rng.permutation(len(vals))]
+            got = sort_complex_spectrum(vals)
+            assert got.tobytes() == sort_complex_spectrum_oracle(vals).tobytes()
 
 
 class TestEigGeneral:

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mmot.core import Atom, DiscreteDistribution, JointMass
+from mmot.core import DiscreteDistribution, JointMass
 from mmot.metric_props import (
     SENTINEL,
     TRIANGLE_SLACK,
@@ -168,7 +168,7 @@ class TestCheckMetric:
         supports = []
         for _ in range(3):
             pts = rng.uniform(-1, 1, size=(3, 2))
-            supports.append([Atom.point(x, y) for x, y in pts])
+            supports.append(pts)
         dists = [DiscreteDistribution(s, np.full(len(s), 1 / len(s))) for s in supports]
         d = {}
         for i, j in combinations(range(3), 2):
@@ -201,7 +201,7 @@ class TestCheckMetric:
 
 class TestCheckNMetricCost:
     def test_area_like_cost_passes_symmetry(self):
-        atoms = [Atom.point(0, 0), Atom.point(1, 0), Atom.point(0, 1)]
+        atoms = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         cost = np.zeros((3, 3, 3))
         for i in range(3):
             for j in range(3):
@@ -213,7 +213,7 @@ class TestCheckNMetricCost:
         assert rep.nonnegative
 
     def test_asymmetric_cost_flagged(self):
-        atoms = [Atom.real(0.0), Atom.real(1.0)]
+        atoms = np.array([0.0, 1.0])
         cost = np.zeros((2, 2))
         cost[0, 1] = 1.0
         rep = check_n_metric_cost(cost, atoms)
