@@ -83,8 +83,8 @@ def _check_total_mass(total: float, what: str) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
-    """Pairwise distinct atoms, rows of an (m, d) array, with strictly
-    positive masses summing to one."""
+    """Pairwise distinct atoms, rows of an (m, d) array of finite
+    coordinates, with strictly positive masses summing to one."""
 
     atoms: np.ndarray
     masses: np.ndarray = field(repr=False)
@@ -94,6 +94,8 @@ class DiscreteDistribution:
         masses = np.asarray(list(masses), dtype=float)
         if masses.ndim != 1 or len(atoms) != masses.shape[0] or len(atoms) == 0:
             raise ValueError("atoms and masses must be equal-length nonempty sequences")
+        if not np.isfinite(atoms).all():
+            raise ValueError("atom coordinates must be finite")
         if np.any(masses <= 0):
             raise ValueError("masses must be strictly positive")
         _check_total_mass(float(masses.sum()), "masses")

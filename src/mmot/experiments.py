@@ -50,7 +50,6 @@ from .metric_props import (
     DistanceTensor,
     check_W_tensor,
     inject_violations,
-    leave_one_out_ratios,
     no_gluing_check,
 )
 from .transport import (
@@ -645,16 +644,14 @@ def _verify_triangle(n_cases: int = 20) -> str:
 
 def _verify_collinear() -> str:
     dists, cost = collinear_instance(4, 3)
-    universe = range(5)
-    values = {}
-    for subset in combinations(universe, 4):
+    T = DistanceTensor(4, 5)
+    for subset in combinations(range(5), 4):
         sub_cost = PairwiseCost({
             (a, b): cost.get(subset[a], subset[b])
             for a, b in combinations(range(4), 2)
         })
-        values[subset] = pairwise_mmot([dists[i] for i in subset], sub_cost).value
-    ratios = leave_one_out_ratios(values, universe)
-    emp_c = min(ratios.values())
+        T.set(subset, pairwise_mmot([dists[i] for i in subset], sub_cost).value)
+    emp_c = check_W_tensor(T).empirical_C
     if emp_c > 3.0 + 1e-6 or abs(emp_c - 3.0) > 1e-3:
         raise AssertionError(f"collinear ratio {emp_c}, expected 3")
     return f"collinear family attains the leave-one-out ratio bound ({emp_c:g})"

@@ -2,7 +2,7 @@
 
 Covers four jobs: exhaustive metric checks on pairwise costs, the
 generalized (n, C)-metric check on a shared cost tensor, the same check
-on a sampled order-2 or order-3 tensor of transport values, and the
+on a sampled tensor of transport values of any order, and the
 feasibility probe for reconstructing a joint from three bivariate
 masses.
 """
@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field
 from itertools import combinations, permutations
-from typing import Callable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import lp
-from .core import JointMass, same_atoms
+from .core import MAX_ENTRIES, JointMass, same_atoms
 from .transport import PairwiseCost
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "check_metric",
     "check_n_metric_cost",
     "check_W_tensor",
-    "leave_one_out_ratios",
     "inject_violations",
     "no_gluing_check",
 ]
@@ -45,21 +44,25 @@ COMPAT_TOL = 1e-9
 
 
 class DistanceTensor:
-    """Symmetric order-2 or order-3 tensor with explicit sampling mask.
+    """Symmetric tensor of any order >= 2 with explicit sampling mask.
 
     One dense (size,)*order float64 array, `dense`, is the only storage:
     each entry sits at its strictly increasing index tuple, NaN marks an
     unsampled entry, and the positions of non-increasing tuples stay NaN.
-    Reads with permuted indices resolve to the same entry.  Unsampled
-    entries read as SENTINEL.  `modified` tracks entries rewritten by
-    inject_violations so later passes can avoid them.
+    The array may hold at most `core.MAX_ENTRIES` cells.  `modified`
+    tracks entries rewritten by inject_violations so later passes can
+    avoid them.
     """
 
     def __init__(self, order: int, size: int) -> None:
-        if order not in (2, 3):
-            raise ValueError(f"order must be 2 or 3, got {order}")
+        if order < 2:
+            raise ValueError(f"order must be at least 2, got {order}")
         if size < order:
             raise ValueError(f"size {size} is too small for order {order}")
+        cells = int(size) ** order
+        if cells > MAX_ENTRIES:
+            raise ValueError(f"a tensor of order {order} over {size} objects has "
+                             f"{cells} cells, over the cap {MAX_ENTRIES}")
         self.order = order
         self.size = size
         self.dense = np.full((size,) * order, np.nan)
@@ -81,16 +84,6 @@ class DistanceTensor:
             raise ValueError(f"value must be finite and nonnegative, got {value}")
         self.dense[self._key(idx)] = v
 
-    def get(self, idx: Sequence[int]) -> float:
-        v = float(self.dense[self._key(idx)])
-        return SENTINEL if math.isnan(v) else v
-
-    def is_sampled(self, idx: Sequence[int]) -> bool:
-        return not math.isnan(self.dense[self._key(idx)])
-
-    def all_keys(self) -> Iterator[tuple[int, ...]]:
-        return combinations(range(self.size), self.order)
-
     def sampled_entries(self) -> tuple[np.ndarray, np.ndarray]:
         """The sampled keys as an (m, order) array in lexicographic order, and their values."""
         # flat C-order positions are lexicographic in the key
@@ -99,13 +92,8 @@ class DistanceTensor:
         return keys, self.dense.take(flat)
 
     @property
-    def sampled(self) -> set[tuple[int, ...]]:
-        """A new set of the sampled keys."""
-        return set(map(tuple, self.sampled_entries()[0].tolist()))
-
-    @property
-    def values(self) -> MutableMapping[tuple[int, ...], float]:
-        """The sampled entries by increasing key; writes go to `dense`."""
+    def values(self) -> Mapping[tuple[int, ...], float]:
+        """The sampled entries by increasing key, read-only."""
         return _SampledValues(self)
 
     @property
@@ -121,7 +109,7 @@ class DistanceTensor:
     def to_csv(self, path: str) -> None:
         # every increasing tuple is written, unsampled ones as sentinel,
         # so the file fully determines (order, size)
-        keys = list(self.all_keys())
+        keys = list(combinations(range(self.size), self.order))
         vals = self.dense[tuple(np.array(keys).T)]
         flags = ~np.isnan(vals)
         vals[~flags] = SENTINEL
@@ -150,34 +138,40 @@ class DistanceTensor:
                 r = int(np.argmax(bad))
                 raise ValueError(f"{path}:{numbers[r]}: {message(r)}")
 
-        if rows.shape[1] not in (4, 5):
-            raise ValueError(f"{path}:{numbers[0]}: expected 4 or 5 fields")
+        if rows.shape[1] < 4:
+            raise ValueError(f"{path}:{numbers[0]}: expected at least 4 fields")
         idx, value, flag = rows[:, :-2], rows[:, -2], rows[:, -1]
         fail((flag != 0) & (flag != 1), lambda r: "sampled flag must be 0 or 1")
         # loadtxt reads every field as a float, so 1.5 or -1 gets this far
         not_int = ~(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx)))
         fail(not_int.any(axis=1),
              lambda r: f"index {idx[r][not_int[r]][0]:g} is not a nonnegative integer")
-        raw = idx.astype(np.intp)
+        raw = idx
         idx = np.sort(raw, axis=1)
         fail((np.diff(idx, axis=1) == 0).any(axis=1),
-             lambda r: f"indices must be distinct, got {tuple(raw[r].tolist())}")
+             lambda r: f"indices must be distinct, got {tuple(map(int, raw[r]))}")
         sampled = flag == 1
         fail(sampled & ~(np.isfinite(value) & (value >= 0)),
              lambda r: f"value must be finite and nonnegative, got {float(value[r])}")
         order, size = idx.shape[1], int(idx.max()) + 1
+        # the cell cap is checked before any allocation, and bounds every
+        # index, so the integer cast below is exact
+        try:
+            out = cls(order, size)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        idx = idx.astype(np.intp)
         codes = np.ravel_multi_index(tuple(idx.T), (size,) * order)
         unique, first = np.unique(codes, return_index=True)
         repeat = np.ones(len(codes), dtype=bool)
         repeat[first] = False
         fail(repeat, lambda r: f"index tuple {tuple(idx[r].tolist())} repeats line "
                                f"{numbers[first[np.searchsorted(unique, codes[r])]]}")
-        out = cls(order, size)
         out.dense[tuple(idx[sampled].T)] = value[sampled]
         return out
 
 
-class _SampledValues(MutableMapping):
+class _SampledValues(Mapping):
     """A DistanceTensor's sampled entries as a mapping over increasing keys."""
 
     def __init__(self, T: DistanceTensor) -> None:
@@ -199,16 +193,6 @@ class _SampledValues(MutableMapping):
             raise KeyError(key)
         return v
 
-    def __setitem__(self, key, value: float) -> None:
-        v = float(value)
-        if math.isnan(v):
-            raise ValueError("NaN marks unsampled entries and cannot be stored")
-        self._T.dense[self._cell(key)] = v
-
-    def __delitem__(self, key) -> None:
-        self[key]
-        self._T.dense[self._cell(key)] = np.nan
-
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return map(tuple, self._T.sampled_entries()[0].tolist())
 
@@ -222,8 +206,8 @@ def _raise_bad_field(path: str, numbers: list[int], text: list[str],
     arity = None
     for n, line in zip(numbers, text):
         parts = line.split(",")
-        if len(parts) not in (4, 5):
-            raise ValueError(f"{path}:{n}: expected 4 or 5 fields")
+        if len(parts) < 4:
+            raise ValueError(f"{path}:{n}: expected at least 4 fields")
         if arity is not None and len(parts) != arity:
             raise ValueError(f"{path}:{n}: inconsistent index arity")
         arity = len(parts)
@@ -407,38 +391,15 @@ def check_n_metric_cost(
     return rep
 
 
-def leave_one_out_ratios(
-    values: Mapping[tuple[int, ...], float], universe: Sequence[int]
-) -> dict[tuple[int, ...], float]:
-    """Ratios (sum of the other leave-one-outs) / (this leave-one-out).
-
-    `values` maps each size-(k-1) subset of `universe` (sorted tuples) to
-    its transport value; near-zero denominators are skipped.
-    """
-    uni = sorted(universe)
-    ratios: dict[tuple[int, ...], float] = {}
-    for x in uni:
-        denom_key = tuple(v for v in uni if v != x)
-        denom = values[denom_key]
-        if denom <= ZERO_TOL:
-            continue
-        num = 0.0
-        for y in uni:
-            if y == x:
-                continue
-            num += values[tuple(v for v in uni if v != y)]
-        ratios[denom_key] = num / denom
-    return ratios
-
-
 def check_W_tensor(T: DistanceTensor, C: float = 1.0,
                    slack: float = TRIANGLE_SLACK) -> MetricReport:
     """Scan every fully sampled (order+1)-subset for generalized triangle failures.
 
     Each entry of a subset is checked against the sum of the others: the
-    classical triangle inequality for order 2, the generalized one for
-    order 3.  empirical_C is the smallest ratio seen over roles with
-    nonzero left side.  Subsets are scanned in lexicographic order
+    classical triangle inequality for order 2, the generalized one from
+    order 3 up.  empirical_C is the smallest ratio seen over roles with
+    nonzero left side, the leave-one-out ratio; n-way pairwise MMOT
+    on the collinear family attains n - 1.  Subsets are scanned in lexicographic order
     straight from the tensor's dense array, one block per smallest index,
     so the scan holds one block at a time.
     """
@@ -512,7 +473,7 @@ def inject_violations(
     if target == 0:
         return out
     # rewrites keep every entry sampled, so one set serves the whole loop
-    sampled = out.sampled
+    sampled = set(map(tuple, out.sampled_entries()[0].tolist()))
     locked: set[tuple[int, ...]] = set(out.modified)
     done = 0
     attempts = 0

@@ -5,14 +5,15 @@ and writes and reads the same csv format.  `build_hypergraph_oracle`,
 `default_grid_oracle` and `inject_oracle` are build_hypergraph,
 tune_threshold's default grid and inject_violations written against it.
 The tests require the array code in `mmot` to give exactly their
-results.
+results.  `leave_one_out_ratios` is the ratio check_W_tensor minimizes,
+over one (order+1)-subset held in a dict.
 """
 import math
 from itertools import combinations
 
 import numpy as np
 
-from mmot.metric_props import SENTINEL, TRIANGLE_SLACK, DistanceTensor
+from mmot.metric_props import SENTINEL, TRIANGLE_SLACK, ZERO_TOL, DistanceTensor
 from mmot.transport import SENTINEL_COST
 
 
@@ -20,8 +21,8 @@ class DictTensor:
     """Values in a dict keyed by increasing index tuples, the sampled keys in a set."""
 
     def __init__(self, order, size):
-        if order not in (2, 3):
-            raise ValueError(f"order must be 2 or 3, got {order}")
+        if order < 2:
+            raise ValueError(f"order must be at least 2, got {order}")
         if size < order:
             raise ValueError(f"size {size} is too small for order {order}")
         self.order = order
@@ -74,8 +75,8 @@ class DictTensor:
                 if not line:
                     continue
                 parts = line.split(",")
-                if len(parts) not in (4, 5):
-                    raise ValueError(f"{path}:{lineno}: expected 4 or 5 fields")
+                if len(parts) < 4:
+                    raise ValueError(f"{path}:{lineno}: expected at least 4 fields")
                 try:
                     idx = tuple(int(p) for p in parts[:-2])
                     value = float(parts[-2])
@@ -158,6 +159,28 @@ def inject_oracle(T, rng, fraction=0.20, factor=1.3):
         locked.update(triples)
         done += 1
     return out
+
+
+def leave_one_out_ratios(values, universe):
+    """Ratios (sum of the other leave-one-outs) / (this leave-one-out).
+
+    `values` maps each size-(k-1) subset of `universe` (sorted tuples) to
+    its transport value; near-zero denominators are skipped.
+    """
+    uni = sorted(universe)
+    ratios = {}
+    for x in uni:
+        denom_key = tuple(v for v in uni if v != x)
+        denom = values[denom_key]
+        if denom <= ZERO_TOL:
+            continue
+        num = 0.0
+        for y in uni:
+            if y == x:
+                continue
+            num += values[tuple(v for v in uni if v != y)]
+        ratios[denom_key] = num / denom
+    return ratios
 
 
 # values whose shortest round-trip repr needs all 17 significant digits

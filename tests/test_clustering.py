@@ -92,7 +92,7 @@ def incidence_oracle(h):
 
 def pair_affinity_oracle(D):
     """spectral_cluster's pair affinities, one pair at a time."""
-    finite = {key: v for key, v in D.values.items() if key in D.sampled and v < SENTINEL}
+    finite = {key: v for key, v in D.values.items() if v < SENTINEL}
     A = np.zeros((D.size, D.size))
     aff = clustering._affinities(np.array([v for _, v in sorted(finite.items())]))
     for ((i, j), _), a in zip(sorted(finite.items()), aff):
@@ -156,7 +156,7 @@ class TestOperatorOracles:
     def test_spectral_affinity_matches_loop(self, monkeypatch, p_sampled):
         rng = np.random.default_rng(8)
         D = DistanceTensor(2, 14)
-        for key in D.all_keys():
+        for key in combinations(range(D.size), 2):
             if rng.random() < p_sampled:
                 D.set(key, float(rng.uniform(0.0, 3.0)))
         M, _, _ = spectral_inputs(monkeypatch, spectral_cluster, D, 2)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mmot.constructions import collinear_instance, planar_counterexample, triangle_area_cost
-from mmot.metric_props import leave_one_out_ratios
+from mmot.transport import mmot, pairwise_mmot
 
 from atom_oracle import as_atoms
-from mmot.transport import mmot, pairwise_mmot
+from dict_tensor import leave_one_out_ratios
 
 
 def triangle_area_cost_oracle(points, gamma):

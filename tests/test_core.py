@@ -1,5 +1,7 @@
 """Atom identity, distributions, joint masses, and the gluing construction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,6 +58,18 @@ class TestDiscreteDistribution:
         a = [0.0, 0.0 + 1e-14]
         with pytest.raises(ValueError):
             DiscreteDistribution(a, [0.5, 0.5])
+
+    @pytest.mark.parametrize("atoms", [
+        [np.nan, np.nan, np.inf],
+        [0.0, 1.0, -np.inf],
+        [[0.0, 0.0], [1.0, np.nan], [2.0, 0.0]],
+    ])
+    def test_non_finite_atoms_rejected(self, atoms):
+        # refused before any atom comparison, so inf - inf warns nowhere
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="finite"):
+                DiscreteDistribution(atoms, [0.3, 0.3, 0.4])
 
 
 class TestJointMass:

@@ -237,7 +237,7 @@ class TestBlockedSampling:
         dists = [signature_distribution(signature(g.graph, top_k=cfg.top_k)) for g in corpus]
         T = compute_tensor(cfg, dists)
         assert T.n_sampled == 12
-        covered = {v for t in T.sampled for v in t}
+        covered = {v for t in T.values for v in t}
         assert covered == set(range(8))
 
     def test_blocks_ignored_for_pair_tensors(self):

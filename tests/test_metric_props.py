@@ -17,26 +17,52 @@ from mmot.metric_props import (
     check_n_metric_cost,
     check_W_tensor,
     inject_violations,
-    leave_one_out_ratios,
     no_gluing_check,
 )
-from mmot.transport import PairwiseCost, euclidean_cost
+from mmot import metric_props
+from mmot.cli import main
+from mmot.constructions import collinear_instance
+from mmot.transport import PairwiseCost, euclidean_cost, pairwise_mmot
 
-from dict_tensor import DictTensor, SEVENTEEN_DIGITS, inject_oracle, random_pairs
+from dict_tensor import (
+    DictTensor,
+    SEVENTEEN_DIGITS,
+    inject_oracle,
+    leave_one_out_ratios,
+    random_pair,
+    random_pairs,
+)
 
 
 class TestDistanceTensor:
     def test_symmetric_index_resolution(self):
         T = DistanceTensor(3, 5)
         T.set((2, 0, 4), 1.5)
-        assert T.get((0, 2, 4)) == 1.5
-        assert T.get((4, 2, 0)) == 1.5
-        assert T.is_sampled((4, 0, 2))
+        assert T.dense[0, 2, 4] == 1.5
+        assert dict(T.values) == {(0, 2, 4): 1.5}
+        # any permutation names the same entry
+        T.set((4, 0, 2), 2.5)
+        assert dict(T.values) == {(0, 2, 4): 2.5}
+        # the mapping is keyed by increasing tuples only
+        assert (4, 2, 0) not in T.values
 
-    def test_unsampled_reads_sentinel(self):
+    def test_unsampled_reads_sentinel(self, tmp_path):
         T = DistanceTensor(2, 3)
-        assert T.get((0, 1)) == SENTINEL
-        assert not T.is_sampled((0, 1))
+        T.set((1, 2), 0.5)
+        assert (0, 1) not in T.values
+        p = tmp_path / "t.csv"
+        T.to_csv(str(p))
+        assert p.read_text() == (f"0,1,{SENTINEL!r},0\n0,2,{SENTINEL!r},0\n"
+                                 "1,2,0.5,1\n")
+
+    def test_values_are_read_only(self):
+        T = DistanceTensor(2, 3)
+        T.set((0, 1), 1.0)
+        with pytest.raises(TypeError):
+            T.values[(0, 1)] = 2.0
+        with pytest.raises(TypeError):
+            del T.values[(0, 1)]
+        assert dict(T.values) == {(0, 1): 1.0}
 
     def test_validation(self):
         T = DistanceTensor(3, 4)
@@ -48,31 +74,61 @@ class TestDistanceTensor:
             T.set((0, 1, 2), -1.0)
         with pytest.raises(ValueError):
             T.set((0, 1, 2), float("nan"))
-        with pytest.raises(ValueError):
-            DistanceTensor(4, 5)
+        with pytest.raises(ValueError, match="order must be at least 2"):
+            DistanceTensor(1, 5)
+
+    def test_any_order_from_two(self):
+        T = DistanceTensor(5, 6)
+        T.set((5, 3, 1, 0, 2), 0.25)
+        assert T.dense.shape == (6,) * 5
+        assert dict(T.values) == {(0, 1, 2, 3, 5): 0.25}
+
+    def test_cell_cap(self, monkeypatch):
+        monkeypatch.setattr(metric_props, "MAX_ENTRIES", 64)
+        assert DistanceTensor(2, 8).dense.size == 64
+        assert DistanceTensor(3, 4).dense.size == 64
+        for order, size in ((2, 9), (3, 5), (4, 4)):
+            with pytest.raises(ValueError, match="over the cap 64"):
+                DistanceTensor(order, size)
 
     def test_csv_round_trip(self, tmp_path):
         T = DistanceTensor(3, 5)
         rng = np.random.default_rng(2)
-        for key in list(T.all_keys())[::2]:
+        for key in list(combinations(range(5), 3))[::2]:
             T.set(key, float(rng.uniform(0.1, 2.0)))
         p = tmp_path / "t.csv"
         T.to_csv(str(p))
         back = DistanceTensor.from_csv(str(p))
         assert back.order == 3 and back.size == 5
-        assert back.sampled == T.sampled
         assert back.values == T.values
         # a second write is byte-identical
         p2 = tmp_path / "t2.csv"
         back.to_csv(str(p2))
         assert p.read_bytes() == p2.read_bytes()
 
+    def test_order_four_csv_round_trip(self, tmp_path):
+        T, ref = random_pair(4, 7, np.random.default_rng(4), 0.7)
+        got, want = tmp_path / "dense.csv", tmp_path / "dict.csv"
+        T.to_csv(str(got))
+        ref.to_csv(str(want))
+        assert got.read_bytes() == want.read_bytes()
+        lines = got.read_text().splitlines()
+        assert len(lines) == math.comb(7, 4)
+        assert all(len(line.split(",")) == 6 for line in lines)
+        back = DistanceTensor.from_csv(str(got))
+        assert (back.order, back.size) == (4, 7)
+        assert back.values == ref.values
+        back.to_csv(str(got))
+        assert got.read_bytes() == want.read_bytes()
+
 
 class TestCsvErrors:
     """A malformed tensor file raises ValueError naming the file and the line."""
 
     @pytest.mark.parametrize("text,line,reason", [
-        ("0,1,2,1.0,1\n0,1,2,3,1.0,1\n", 2, "expected 4 or 5 fields"),
+        ("0,1,2,1.0,1\n0,1,2,3,1.0,1\n", 2, "arity"),
+        ("0,1.0,1\n", 1, "expected at least 4 fields"),
+        ("0,1,2,1.0,1\n0,1.0,1\n", 2, "expected at least 4 fields"),
         ("0,1,2,1.0,1\n0,1,3,1.0,2\n", 2, "flag must be 0 or 1"),
         # blank lines are skipped but still counted
         ("0,1,2,1.0,1\n\n0,1,3,1.0,-1\n", 3, "flag must be 0 or 1"),
@@ -113,7 +169,27 @@ class TestCsvErrors:
         p.write_text("2,0,1,-1.0,0\n0,1,3,nan,0\n1,2,3,0.5,1\n")
         T = DistanceTensor.from_csv(str(p))
         assert (T.order, T.size, T.n_sampled) == (3, 4, 1)
-        assert T.get((3, 2, 1)) == 0.5 and not T.is_sampled((0, 1, 2))
+        assert dict(T.values) == {(1, 2, 3): 0.5}
+
+    def test_over_the_cell_cap_names_the_file(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("0,1,100000,1.0,1\n")
+        with pytest.raises(ValueError, match="over the cap") as err:
+            DistanceTensor.from_csv(str(p))
+        assert str(err.value).startswith(f"{p}: ")
+
+    @pytest.mark.parametrize("command", ["inject", "cluster"])
+    def test_over_the_cell_cap_exits_two(self, tmp_path, capsys, command):
+        p = tmp_path / "t.csv"
+        p.write_text("0,1,100000,1.0,1\n")
+        args = {
+            "inject": ["inject", "--seed", "1", "--tensor", str(p),
+                       "--out", str(tmp_path / "out.csv")],
+            "cluster": ["cluster", "--seed", "1", "--tensor", str(p),
+                        "--out-dir", str(tmp_path / "out")],
+        }[command]
+        assert main(args) == 2
+        assert "over the cap" in capsys.readouterr().err
 
 
 class TestDenseMatchesDictOracle:
@@ -128,7 +204,7 @@ class TestDenseMatchesDictOracle:
             assert got.read_bytes() == want.read_bytes()
             back, ref_back = DistanceTensor.from_csv(str(want)), DictTensor.from_csv(str(got))
             assert (back.order, back.size) == (ref_back.order, ref_back.size)
-            assert back.sampled == ref_back.sampled == ref.sampled
+            assert set(back.values) == ref_back.sampled == ref.sampled
             assert back.values == ref_back.values == ref.values
             back.to_csv(str(got))
             assert got.read_bytes() == want.read_bytes()
@@ -220,6 +296,28 @@ class TestCheckNMetricCost:
         assert not rep.symmetric
 
 
+def collinear_tensor(n):
+    """The order-n tensor of pairwise MMOT values over collinear_instance(n, 3)."""
+    dists, cost = collinear_instance(n, 3)
+    values, T = {}, DistanceTensor(n, n + 1)
+    for sub in combinations(range(n + 1), n):
+        local = PairwiseCost({(a, b): cost.get(sub[a], sub[b])
+                              for a, b in combinations(range(n), 2)})
+        values[sub] = pairwise_mmot([dists[s] for s in sub], local).value
+        T.set(sub, values[sub])
+    return T, values
+
+
+def min_leave_one_out_ratio(T):
+    """The smallest oracle ratio over every fully sampled (order+1)-subset."""
+    best = None
+    for subset in combinations(range(T.size), T.order + 1):
+        if all(key in T.values for key in combinations(subset, T.order)):
+            for r in leave_one_out_ratios(T.values, subset).values():
+                best = r if best is None else min(best, r)
+    return best
+
+
 class TestLeaveOneOutRatios:
     def test_hand_case(self):
         # universe {0,1,2}; leaving out x costs: 0->1.0, 1->2.0, 2->3.0
@@ -234,6 +332,30 @@ class TestLeaveOneOutRatios:
         ratios = leave_one_out_ratios(values, [0, 1, 2])
         assert (1, 2) not in ratios
         assert set(ratios) == {(0, 2), (0, 1)}
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_check_W_agrees_on_collinear_family(self, n):
+        T, values = collinear_tensor(n)
+        want = min(leave_one_out_ratios(values, range(n + 1)).values())
+        rep = check_W_tensor(T)
+        # the oracle sums the other entries directly, check_W_tensor
+        # subtracts from the subset total: the two may differ in the last bits
+        assert rep.empirical_C == pytest.approx(want, rel=1e-12)
+        assert rep.empirical_C == pytest.approx(n - 1, rel=1e-9)
+        assert rep.triangle
+        # the sharp constant n - 1 holds too
+        assert check_W_tensor(T, C=n - 1).triangle
+
+    def test_check_W_agrees_on_random_order_four(self):
+        rng = np.random.default_rng(44)
+        checked = 0
+        for size, p_sampled in ((5, 1.0), (6, 1.0), (7, 0.9), (8, 0.8)):
+            T = random_tensor(4, size, rng, p_sampled)
+            want = min_leave_one_out_ratio(T)
+            assert want is not None
+            assert check_W_tensor(T).empirical_C == pytest.approx(want, rel=1e-12)
+            checked += 1
+        assert checked == 4
 
 
 def metric_tensor(size, seed=0):
@@ -261,7 +383,7 @@ def check_W_oracle(T, C=1.0, slack=TRIANGLE_SLACK):
     if any(v < 0 for v in T.values.values()):
         rep.nonnegative = False
     best = None
-    sampled = T.sampled
+    sampled = set(T.values)
     for subset in combinations(range(T.size), T.order + 1):
         keys = list(combinations(subset, T.order))
         if not all(t in sampled for t in keys):
@@ -288,7 +410,7 @@ def check_W_oracle(T, C=1.0, slack=TRIANGLE_SLACK):
 def random_tensor(order, size, rng, p_sampled, p_zero=0.1):
     """Random full-mantissa values; some entries unsampled, some exactly 0."""
     T = DistanceTensor(order, size)
-    for key in T.all_keys():
+    for key in combinations(range(size), order):
         if rng.random() < p_sampled:
             T.set(key, 0.0 if rng.random() < p_zero else float(rng.uniform(0.0, 3.0)))
     return T
@@ -304,8 +426,10 @@ def oracle_cases():
         cases.append(inject_violations(metric_tensor(9, seed=seed),
                                        np.random.default_rng(seed), fraction=0.2))
     negative = random_tensor(3, 6, rng, 1.0)
-    negative.values[(0, 1, 2)] = -0.25
+    negative.dense[0, 1, 2] = -0.25
     cases.append(negative)
+    for size, p_sampled in ((6, 1.0), (7, 0.8)):
+        cases.append(random_tensor(4, size, rng, p_sampled))
     return cases
 
 
@@ -333,7 +457,7 @@ class TestCheckWTensor:
 
     def test_violation_detected(self):
         T = metric_tensor(5)
-        key = next(iter(sorted(T.sampled)))
+        key = next(iter(T.values))
         T.set(key, 1000.0)
         rep = check_W_tensor(T)
         assert not rep.triangle
@@ -372,8 +496,8 @@ class TestCheckWTensor:
     def test_negative_sampled_value_flagged(self):
         T = metric_tensor(5)
         assert check_W_tensor(T).nonnegative
-        # set() refuses negatives, so write one past it
-        T.values[(0, 1, 2)] = -0.5
+        # set() refuses negatives, so write one into the array
+        T.dense[0, 1, 2] = -0.5
         assert check_W_tensor(T).nonnegative is False
 
 
@@ -382,7 +506,7 @@ class TestInjectViolations:
         T = metric_tensor(10, seed=3)
         rng = np.random.default_rng(111)
         out = inject_violations(T, rng, fraction=0.2, factor=1.3)
-        want = math.ceil(0.2 * len(T.sampled))
+        want = math.ceil(0.2 * T.n_sampled)
         assert len(out.modified) == want
         # the source tensor is untouched
         assert not T.modified
