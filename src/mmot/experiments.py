@@ -460,15 +460,15 @@ def cmd_cluster(config: ExperimentConfig, tensor_path: str) -> tuple[ExperimentR
     """Score the configured clusterer on a tensor file, tuning thresholds per trial."""
     started = time.monotonic()
     T = DistanceTensor.from_csv(tensor_path)
+    needs = 2 if config.clusterer == "spectral" else 3
+    if T.order != needs:
+        raise ValueError(f"clusterer {config.clusterer!r} needs an order-{needs} "
+                         f"tensor, got order {T.order}")
     corpus = build_corpus(config)
     if len(corpus) != T.size:
         raise ValueError(f"tensor is over {T.size} objects, corpus has {len(corpus)}")
     truth = _truth_labels(corpus)
     k = len(set(truth))
-    needs = 2 if config.clusterer == "spectral" else 3
-    if T.order != needs:
-        raise ValueError(f"clusterer {config.clusterer!r} needs an order-{needs} "
-                         f"tensor, got order {T.order}")
     errors: list[float] = []
     thresholds: list[float | None] = []
     for trial in range(config.trials):
@@ -521,9 +521,9 @@ def cmd_inject(tensor_path: str, fraction: float, factor: float, seed: int,
                out_tensor: str, out_report: str | None = None) -> dict:
     """Corrupt a tensor with targeted triangle violations; report the C drop."""
     T = DistanceTensor.from_csv(tensor_path)
-    before = check_W_tensor(T).empirical_C
     rng = np.random.Generator(np.random.PCG64(seed))
     injected = inject_violations(T, rng, fraction=fraction, factor=factor)
+    before = check_W_tensor(T).empirical_C
     after = check_W_tensor(injected).empirical_C
     injected.to_csv(out_tensor)
     summary = {

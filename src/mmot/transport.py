@@ -3,6 +3,12 @@
 All four reduce to one sparse LP over a coupling tensor with univariate
 marginal constraints.  ell enters through the cost (power trick); the
 pairwise variant is ell=1 only, where the bracket sum stays linear.
+
+One blocked-cell rule serves all four: a coupling cell is blocked when
+its powered cost d^ell reaches EFFECTIVELY_INFINITE (so at ell=2 any
+cost >= 1e6 is blocked), and the LP runs over the open cells only.  If
+no coupling fits on them, the value is SENTINEL_COST and the coupling
+is the product of the marginals.
 """
 from __future__ import annotations
 
@@ -30,7 +36,8 @@ __all__ = [
 ]
 
 SENTINEL_COST = 1e15
-# LP optima above this are reported as effectively infinite.
+# A cell whose powered cost d^ell reaches this is blocked and never enters
+# the LP; a result whose value exceeds it (only SENTINEL_COST) is blocked.
 EFFECTIVELY_INFINITE = 1e12
 
 MARGINAL_TOL = 1e-8
@@ -80,56 +87,51 @@ def euclidean_cost(p1: DiscreteDistribution, p2: DiscreteDistribution) -> np.nda
     return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
 
 
-def _marginal_constraints(shape: Sequence[int]) -> sp.csc_array:
-    """Equality system forcing every univariate marginal of the flat coupling.
+def _marginal_constraints(shape: Sequence[int], cells: np.ndarray) -> sp.csc_array:
+    """Equality system forcing every univariate marginal of the coupling.
 
-    One row per atom of each marginal, stacked axis by axis; each cell
-    of the coupling has a single 1 in every axis block.
+    One row per atom of each marginal, stacked axis by axis; column j is
+    the flat coupling cell cells[j], with a single 1 in every axis block.
     """
     shape = tuple(int(m) for m in shape)
-    n_cells = int(np.prod(shape))
-    coords = np.unravel_index(np.arange(n_cells), shape)
+    coords = np.unravel_index(cells, shape)
     offsets = np.cumsum((0,) + shape[:-1])
-    rows = np.concatenate([off + idx for off, idx in zip(offsets, coords)])
-    cols = np.tile(np.arange(n_cells), len(shape))
-    return sp.csc_array((np.ones(rows.size), (rows, cols)), shape=(sum(shape), n_cells))
+    rows = np.stack([off + idx for off, idx in zip(offsets, coords)], axis=1).ravel()
+    n, k = len(shape), cells.size
+    return sp.csc_array((np.ones(n * k), rows, np.arange(0, n * k + 1, n)),
+                        shape=(sum(shape), k))
 
 
-def _powered_cost(d: np.ndarray, ell: int) -> np.ndarray:
-    """Elementwise d^ell with sentinel cells kept at the sentinel magnitude."""
-    d = np.asarray(d, dtype=float)
-    if np.any(np.isnan(d)) or np.any(d < 0):
-        raise ValueError("costs must be nonnegative and not NaN")
-    out = d.astype(float) ** int(ell)
-    big = d >= EFFECTIVELY_INFINITE
-    out[big] = SENTINEL_COST
-    return out
+def _solve_coupling(dists: Sequence[DiscreteDistribution], cost: np.ndarray,
+                    ell: int) -> TransportResult:
+    """min over couplings r of <cost^ell, r>, rooted: the one transport LP.
 
-
-def _solve_coupling(dists: Sequence[DiscreteDistribution], powered: np.ndarray):
+    A cell is blocked when cost^ell >= EFFECTIVELY_INFINITE and never
+    enters the LP, so its magnitude cannot drown the finite costs.  When
+    no coupling fits on the open cells the instance is blocked: the value
+    is SENTINEL_COST and the coupling is the product of the marginals.
+    """
+    cost = np.asarray(cost, dtype=float)
     shape = tuple(p.size for p in dists)
-    if powered.shape != shape:
-        raise ValueError(f"cost tensor shape {powered.shape} does not match supports {shape}")
-    if powered.size > MAX_ENTRIES:
+    if cost.shape != shape:
+        raise ValueError(f"cost tensor shape {cost.shape} does not match supports {shape}")
+    if cost.size > MAX_ENTRIES:
         raise ValueError(
-            f"coupling tensor would have {powered.size} entries, over the cap {MAX_ENTRIES}; "
+            f"coupling tensor would have {cost.size} entries, over the cap {MAX_ENTRIES}; "
             "use fewer marginals or smaller supports"
         )
-    A = _marginal_constraints(shape)
+    if np.any(np.isnan(cost)) or np.any(cost < 0):
+        raise ValueError("costs must be nonnegative and not NaN")
+    c = cost.ravel() ** int(ell)
+    cells = np.flatnonzero(c < EFFECTIVELY_INFINITE)
     b = np.concatenate([p.masses for p in dists])
-    c = powered.ravel()
-    # sentinel cells never enter the LP: their magnitude would drown the
-    # finite costs, so they are excluded and only reinstated as an
-    # effectively-infinite verdict when nothing finite is feasible
-    allowed = c < EFFECTIVELY_INFINITE
-    sol = lp.solve(lp.LpProblem(c[allowed], A[:, allowed], b)) if allowed.any() else None
+    sol = (lp.solve(lp.LpProblem(c[cells], _marginal_constraints(shape, cells), b))
+           if cells.size else None)
     if sol is not None and sol.status == lp.OPTIMAL:
-        value = float(sol.value)
+        value = max(float(sol.value), 0.0) ** (1.0 / ell)
         x = np.zeros(c.shape)
-        x[allowed] = sol.x
+        x[cells] = sol.x
     elif sol is None or sol.status == lp.INFEASIBLE:
-        # every coupling must load a sentinel cell; report the
-        # sentinel itself and hand back the product coupling
         value = SENTINEL_COST
         x = reduce(np.multiply.outer, [p.masses for p in dists]).ravel()
     else:
@@ -137,36 +139,24 @@ def _solve_coupling(dists: Sequence[DiscreteDistribution], powered: np.ndarray):
     r = np.clip(x, 0.0, None).reshape(shape)
     r = r / r.sum()
     for axis, p in enumerate(dists):
-        got = marginal(JointMass(r), [axis]).entries
+        got = r.sum(axis=tuple(a for a in range(r.ndim) if a != axis))
         if np.max(np.abs(got - p.masses)) > MARGINAL_TOL:
             raise RuntimeError(f"coupling marginal {axis} off by more than {MARGINAL_TOL}")
-    return value, JointMass(r)
-
-
-def _root_value(bracket: float, ell: int) -> float:
-    # past the sentinel threshold the magnitude is an artifact; keep it big
-    if bracket > EFFECTIVELY_INFINITE:
-        return float(bracket)
-    return max(bracket, 0.0) ** (1.0 / ell)
+    return TransportResult(value, JointMass(r))
 
 
 def wasserstein(
     p1: DiscreteDistribution, p2: DiscreteDistribution, d: np.ndarray, ell: int = 1
 ) -> TransportResult:
     """Classical OT: min over couplings of <d, r>_ell^(1/ell)."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != (p1.size, p2.size):
-        raise ValueError(f"cost shape {d.shape} does not match supports ({p1.size}, {p2.size})")
-    bracket, coupling = _solve_coupling([p1, p2], _powered_cost(d, ell))
-    return TransportResult(_root_value(bracket, ell), coupling)
+    return mmot([p1, p2], d, ell)
 
 
 def mmot(dists: Sequence[DiscreteDistribution], d: np.ndarray, ell: int = 1) -> TransportResult:
     """General MMOT: one LP over the n-way coupling with cost d^ell."""
     if len(dists) < 2:
         raise ValueError("mmot needs at least two distributions")
-    bracket, coupling = _solve_coupling(list(dists), _powered_cost(d, ell))
-    return TransportResult(_root_value(bracket, ell), coupling)
+    return _solve_coupling(list(dists), d, ell)
 
 
 def _summed_cost(dists: Sequence[DiscreteDistribution], d: PairwiseCost) -> np.ndarray:
@@ -194,15 +184,14 @@ def pairwise_mmot(
         raise ValueError("pairwise MMOT supports ell=1 only; the ell>1 objective is not an LP")
     if len(dists) < 2:
         raise ValueError("pairwise_mmot needs at least two distributions")
-    total = _summed_cost(dists, d)
-    _, coupling = _solve_coupling(list(dists), _powered_cost(total, 1))
+    res = _solve_coupling(list(dists), _summed_cost(dists, d), 1)
+    if res.effectively_infinite:
+        return res
     terms = {}
-    n = len(dists)
-    for s, t in combinations(range(n), 2):
-        pair_marg = marginal(coupling, [s, t]).entries
+    for s, t in combinations(range(len(dists)), 2):
+        pair_marg = marginal(res.coupling, [s, t]).entries
         terms[(s, t)] = float(np.sum(d.get(s, t) * pair_marg))
-    value = float(sum(terms.values()))
-    return TransportResult(value, coupling, per_pair_terms=terms)
+    return TransportResult(float(sum(terms.values())), res.coupling, per_pair_terms=terms)
 
 
 def _omega_index(atoms: np.ndarray, omega: np.ndarray) -> np.ndarray:

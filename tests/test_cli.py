@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from mmot import experiments
 from mmot.cli import _build_config, build_parser, main
 from mmot.experiments import CONFIG_PARSERS
 from mmot.graphs import load_graph
@@ -204,6 +205,30 @@ class TestExperimentCommands:
         )
         assert rc == 2
         assert "error:" in err
+
+    def test_cluster_checks_the_order_before_building_the_corpus(
+            self, small_cfg, tmp_path, capsys, monkeypatch):
+        cfg, _ = small_cfg
+        tensor = tmp_path / "order2.csv"
+        tensor.write_text("0,1,0.5,1\n")
+        def no_corpus(config):
+            raise AssertionError("corpus built for a tensor of the wrong order")
+        monkeypatch.setattr(experiments, "build_corpus", no_corpus)
+        rc, _, err = run(["cluster", "--config", str(cfg), "--seed", "21",
+                          "--clusterer", "ttm", "--tensor", str(tensor)], capsys)
+        assert rc == 2
+        assert "needs an order-3 tensor" in err
+
+    def test_inject_checks_the_order_before_the_audit(self, tmp_path, capsys, monkeypatch):
+        tensor = tmp_path / "order2.csv"
+        tensor.write_text("0,1,0.5,1\n")
+        def no_audit(T, *args, **kwargs):
+            raise AssertionError("audited a tensor of the wrong order")
+        monkeypatch.setattr(experiments, "check_W_tensor", no_audit)
+        rc, _, err = run(["inject", "--seed", "5", "--tensor", str(tensor),
+                          "--out", str(tmp_path / "inj.csv")], capsys)
+        assert rc == 2
+        assert "needs an order-3 tensor" in err
 
 
 # one raw value per config key except seed, valid as a flag and as a file line

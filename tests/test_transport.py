@@ -71,9 +71,14 @@ def random_planar(rng, max_atoms=4):
     "shape", [(1, 1), (2, 3), (4, 1), (3, 2, 4), (1, 5, 2), (2, 2, 2, 3), (3, 1, 2, 2)]
 )
 def test_marginal_constraints_match_dense_build(shape):
-    coords = np.unravel_index(np.arange(int(np.prod(shape))), shape)
+    n_cells = int(np.prod(shape))
+    coords = np.unravel_index(np.arange(n_cells), shape)
     dense = np.vstack([np.eye(m)[coords[axis]].T for axis, m in enumerate(shape)])
-    np.testing.assert_array_equal(_marginal_constraints(shape).toarray(), dense)
+    rng = np.random.default_rng(n_cells)
+    subset = np.sort(rng.choice(n_cells, size=n_cells // 2, replace=False))
+    for cells in (np.arange(n_cells), subset):
+        got = _marginal_constraints(shape, cells)
+        np.testing.assert_array_equal(got.toarray(), dense[:, cells])
 
 
 class TestWasserstein:
@@ -138,20 +143,27 @@ class TestMMOT:
     def test_blocked_cells_are_avoided(self):
         p = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
         q = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
-        d = np.array([[0.0, 1.0], [1.0, 0.0]])
-        d[0, 0] = EFFECTIVELY_INFINITE
-        res = wasserstein(p, q, d)
-        assert res.coupling.entries[0, 0] == pytest.approx(0.0, abs=1e-12)
-        # mass from atom 0 is forced across at unit cost
-        assert res.value == pytest.approx(1.0, abs=1e-9)
+        # a cell is blocked when its powered cost d**ell reaches 1e12
+        for big, ell in ((EFFECTIVELY_INFINITE, 1), (1e6, 2)):
+            d = np.array([[0.0, 1.0], [1.0, 0.0]])
+            d[0, 0] = big
+            res = wasserstein(p, q, d, ell=ell)
+            assert res.coupling.entries[0, 0] == pytest.approx(0.0, abs=1e-12)
+            # mass from atom 0 is forced across at unit cost
+            assert res.value == pytest.approx(1.0, abs=1e-9)
 
     def test_fully_blocked_returns_sentinel_product_coupling(self):
         p = DiscreteDistribution([0.0], [1.0])
         q = DiscreteDistribution([1.0], [1.0])
-        d = np.full((1, 1), EFFECTIVELY_INFINITE)
-        res = wasserstein(p, q, d)
-        assert res.value == SENTINEL_COST
-        np.testing.assert_allclose(res.coupling.entries, [[1.0]])
+        for big, ell in ((EFFECTIVELY_INFINITE, 1), (1e6, 2)):
+            res = wasserstein(p, q, np.full((1, 1), big), ell=ell)
+            assert res.value == SENTINEL_COST
+            np.testing.assert_allclose(res.coupling.entries, [[1.0]])
+        # costs whose power stays below 1e12 are open, however large
+        for cost, ell in ((0.999e6, 2), (1e7, 1)):
+            res = mmot([p, q], np.full((1, 1), cost), ell=ell)
+            assert res.value == pytest.approx(cost, rel=1e-12)
+            assert not res.effectively_infinite
 
     def test_allowed_cells_without_feasible_coupling_return_sentinel(self):
         # only cell (0,0) is finite, but it can carry half the mass at most:
@@ -164,6 +176,14 @@ class TestMMOT:
             assert res.value == SENTINEL_COST
             assert res.effectively_infinite
             np.testing.assert_allclose(res.coupling.entries, np.full((2, 2), 0.25))
+        # pairwise MMOT takes the same verdict: with only cell (0,0) open
+        # between spaces 0 and 1, no three-way coupling fits
+        r = DiscreteDistribution([0.0, 2.0], [0.5, 0.5])
+        costs = PairwiseCost({(0, 1): d, (0, 2): np.ones((2, 2)), (1, 2): np.ones((2, 2))})
+        res = pairwise_mmot([p, q, r], costs)
+        assert res.value == SENTINEL_COST
+        assert res.effectively_infinite and res.per_pair_terms is None
+        np.testing.assert_allclose(res.coupling.entries, np.full((2, 2, 2), 0.125))
 
 
 def euclidean_pairwise(ps):
