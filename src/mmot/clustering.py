@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 KMEANS_MAX_ITER = 300
+KMEANS_RESTARTS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +123,7 @@ def _affinities(weights: np.ndarray) -> np.ndarray:
 
 
 def _spectral_labels(M: np.ndarray, d: np.ndarray, support: np.ndarray, k: int,
-                     rng: np.random.Generator | None,
+                     rng: np.random.Generator,
                      random_walk: bool) -> ClusteringSolution:
     """k-means on the k smallest eigenvectors of L = I - D^-1/2 M D^-1/2.
 
@@ -138,14 +139,14 @@ def _spectral_labels(M: np.ndarray, d: np.ndarray, support: np.ndarray, k: int,
         raise ValueError(f"affinity graph splits into {c} components, more than k={k}")
     dinv = 1.0 / np.sqrt(d)
     L = np.eye(len(d)) - dinv[:, None] * M * dinv[None, :]
-    _, vecs = eig_symmetric(L, k=k, which="smallest")
+    _, vecs = eig_symmetric(L, k)
     if random_walk:
         return kmeans(dinv[:, None] * vecs, k, rng)
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
     return kmeans(vecs / np.maximum(norms, 1e-300), k, rng)
 
 
-def ttm(h: Hypergraph3, k: int, rng: np.random.Generator | None = None) -> ClusteringSolution:
+def ttm(h: Hypergraph3, k: int, rng: np.random.Generator) -> ClusteringSolution:
     """Tensor-trace maximization: contract the affinity tensor, then spectral."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
@@ -161,7 +162,7 @@ def ttm(h: Hypergraph3, k: int, rng: np.random.Generator | None = None) -> Clust
     return _spectral_labels(A, A.sum(axis=1), A > 0.0, k, rng, random_walk=False)
 
 
-def nhcut(h: Hypergraph3, k: int, rng: np.random.Generator | None = None) -> ClusteringSolution:
+def nhcut(h: Hypergraph3, k: int, rng: np.random.Generator) -> ClusteringSolution:
     """Normalized hypergraph cut via the incidence-based Laplacian."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
@@ -174,8 +175,7 @@ def nhcut(h: Hypergraph3, k: int, rng: np.random.Generator | None = None) -> Clu
     return _spectral_labels(inner, H @ w, (H @ H.T) > 0.0, k, rng, random_walk=False)
 
 
-def spectral_cluster(D: DistanceTensor, k: int,
-                     rng: np.random.Generator | None = None) -> ClusteringSolution:
+def spectral_cluster(D: DistanceTensor, k: int, rng: np.random.Generator) -> ClusteringSolution:
     """Random-walk spectral clustering on a sampled pairwise tensor.
 
     Unsampled or sentinel-valued pairs contribute zero affinity.
@@ -238,9 +238,8 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, k: int) -> tuple[np.ndarray,
     return labels, inertia
 
 
-def kmeans(points: np.ndarray, k: int, rng: np.random.Generator | None = None,
-           restarts: int = 10) -> ClusteringSolution:
-    """Lloyd iterations from k-means++ seeds, best of `restarts` by inertia."""
+def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> ClusteringSolution:
+    """Lloyd iterations from k-means++ seeds, best of KMEANS_RESTARTS by inertia."""
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
@@ -251,10 +250,8 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator | None = None,
         raise ValueError(f"k must be at least 1, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points {n}")
-    if rng is None:
-        rng = np.random.default_rng()
     best: tuple[float, np.ndarray] | None = None
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         labels, inertia = _lloyd(points, _kmeanspp_seed(points, k, rng), k)
         if best is None or inertia < best[0]:
             best = (inertia, labels)

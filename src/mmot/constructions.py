@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 VALIDATE_TOL = 1e-8
+# collinear_instance: gap between neighbouring atoms, offset of the far space
+COLLINEAR_SPACING = 1.0
+COLLINEAR_FAR = 100.0
 
 
 def _areas(c0: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> np.ndarray:
@@ -152,9 +155,7 @@ def planar_counterexample(epsilon: float) -> PlanarInstance:
     )
 
 
-def collinear_instance(
-    n: int, m: int, spacing: float = 1.0, far: float = 100.0
-) -> tuple[list[DiscreteDistribution], PairwiseCost]:
+def collinear_instance(n: int, m: int) -> tuple[list[DiscreteDistribution], PairwiseCost]:
     """n+1 spaces of m equally spaced collinear atoms, one space far away.
 
     The cost is |x - y| for equal atom ranks and a huge sentinel
@@ -165,17 +166,9 @@ def collinear_instance(
         raise ValueError(f"n must be at least 3, got {n}")
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
-    if spacing <= 0 or far <= 0:
-        raise ValueError("spacing and far offset must be positive")
-    offsets = [0.0] * n + [float(far)]
-    supports = [
-        [t + s * spacing for s in range(m)]
-        for t in offsets
-    ]
-    dists = [
-        DiscreteDistribution(xs, np.ones(m) / m)
-        for xs in supports
-    ]
+    offsets = [0.0] * n + [COLLINEAR_FAR]
+    supports = [[t + s * COLLINEAR_SPACING for s in range(m)] for t in offsets]
+    dists = [DiscreteDistribution(xs, np.ones(m) / m) for xs in supports]
     mats = {}
     for i in range(n + 1):
         for j in range(i + 1, n + 1):

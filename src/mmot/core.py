@@ -22,6 +22,7 @@ __all__ = [
     "DiscreteDistribution",
     "JointMass",
     "ConditionalMass",
+    "check_ell",
     "braket",
     "marginal",
     "conditional",
@@ -166,6 +167,13 @@ class ConditionalMass:
         return self.entries.shape
 
 
+def check_ell(ell: int) -> int:
+    """The transport power as an int; anything but a positive integer raises."""
+    if not (float(ell).is_integer() and ell >= 1):
+        raise ValueError(f"ell must be a positive integer, got {ell!r}")
+    return int(ell)
+
+
 def braket(A: np.ndarray, B: np.ndarray, ell: int) -> float:
     """Evaluate <A, B>_ell = sum_s (A_s)^ell B_s."""
     A = np.asarray(A, dtype=float)
@@ -174,9 +182,7 @@ def braket(A: np.ndarray, B: np.ndarray, ell: int) -> float:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
     if np.any(B < 0):
         raise ValueError("B must be nonnegative")
-    if int(ell) != ell or ell < 1:
-        raise ValueError("ell must be a positive integer")
-    return float(np.sum(A ** int(ell) * B))
+    return float(np.sum(A ** check_ell(ell) * B))
 
 
 def marginal(j: JointMass, keep_axes: Iterable[int]) -> JointMass:

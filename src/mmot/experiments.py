@@ -85,6 +85,9 @@ __all__ = [
 BACKENDS = ("wd_pairwise", "mmot_pairwise", "mmot_barycenter", "mmot_nonmetric")
 CLUSTERERS = ("spectral", "ttm", "nhcut")
 
+# seeded random instances per glue and pair-triangle check of `verify`
+VERIFY_CASES = 20
+
 _MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 
@@ -279,7 +282,7 @@ def build_corpus(config: ExperimentConfig) -> list[CorpusGraph]:
         for copy in range(config.graphs_per_family):
             rng = _stream(config.seed, 0, gi)
             base = generate(fam, _FAMILY_PARAMS[fam], rng)
-            g = perturb(base, config.perturb_p, rng)
+            g = perturb(base, config.perturb_p, rng=rng)
             out.append(CorpusGraph(f"{fam}-{copy:02d}", fam, label, g))
             gi += 1
     return out
@@ -589,10 +592,10 @@ def _verify_hashes() -> str:
     return "index maps collision-free and within multiplicity 5 for n = 2..40"
 
 
-def _verify_glue(n_cases: int = 20) -> str:
+def _verify_glue() -> str:
     rng = np.random.Generator(np.random.PCG64(31337))
     worst = 0.0
-    for _ in range(n_cases):
+    for _ in range(VERIFY_CASES):
         n = int(rng.integers(3, 5))
         sizes = [int(rng.integers(2, 5)) for _ in range(n)]
         k = int(rng.integers(0, n))
@@ -613,13 +616,13 @@ def _verify_glue(n_cases: int = 20) -> str:
             worst = max(worst, float(np.abs(pair - q.entries * q_k).max()))
     if worst > 1e-12:
         raise AssertionError(f"glued marginals off by {worst:.3g}")
-    return f"{n_cases} glued joints reproduce pivot and pair marginals (max {worst:.1e})"
+    return f"{VERIFY_CASES} glued joints reproduce pivot and pair marginals (max {worst:.1e})"
 
 
-def _verify_triangle(n_cases: int = 20) -> str:
+def _verify_triangle() -> str:
     rng = np.random.Generator(np.random.PCG64(90210))
     worst = -1.0
-    for _ in range(n_cases):
+    for _ in range(VERIFY_CASES):
         sizes = [int(rng.integers(2, 5)) for _ in range(3)]
         pts = [rng.random((m, 2)) * 4.0 for m in sizes]
         r = rng.random(tuple(sizes)) + 1e-3
@@ -639,7 +642,7 @@ def _verify_triangle(n_cases: int = 20) -> str:
                 worst = max(worst, lhs - rhs)
     if worst > 1e-9:
         raise AssertionError(f"pair-value triangle inequality violated by {worst:.3g}")
-    return f"{n_cases} joints satisfy the pair-value triangle bound for ell=1,2,3"
+    return f"{VERIFY_CASES} joints satisfy the pair-value triangle bound for ell=1,2,3"
 
 
 def _verify_collinear() -> str:

@@ -125,18 +125,16 @@ def grid2d_periodic(rows: int = 3, cols: int = 4) -> Graph:
     return _from_pairs(rows * cols, ((min(u, v), max(u, v)) for u, v in pairs))
 
 
-def erdos_renyi(n: int = 10, p: float = 0.4, rng: np.random.Generator | None = None) -> Graph:
+def erdos_renyi(n: int = 10, p: float = 0.4, *, rng: np.random.Generator) -> Graph:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    if rng is None:
-        rng = np.random.default_rng()
     pairs = list(combinations(range(n), 2))
     draws = rng.random(len(pairs))
     g = _from_pairs(n, (pq for pq, u in zip(pairs, draws) if u < p))
     # isolated nodes would break the walk matrix downstream
-    return prune_min_degree(g, dmin=1)
+    return prune_min_degree(g)
 
 
 _FAMILIES = {
@@ -162,19 +160,20 @@ DEFAULT_FAMILIES: tuple[tuple[str, dict], ...] = (
 )
 
 
-def generate(family: str, params: dict | None = None,
-             rng: np.random.Generator | None = None) -> Graph:
-    """Build one named graph; only erdos_renyi consumes the rng."""
+def generate(family: str, params: dict, rng: np.random.Generator | None) -> Graph:
+    """Build one named graph; only erdos_renyi consumes the rng, and needs one."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
                          f"choose from {sorted(_FAMILIES)}")
-    params = dict(params or {})
+    params = dict(params)
     if family == "erdos_renyi":
+        if rng is None:
+            raise ValueError("erdos_renyi needs a random generator")
         params["rng"] = rng
     return _FAMILIES[family](**params)
 
 
-def perturb(g: Graph, p: float = 0.05, rng: np.random.Generator | None = None) -> Graph:
+def perturb(g: Graph, p: float = 0.05, *, rng: np.random.Generator) -> Graph:
     """Flip each node pair's edge presence with probability p, then prune.
 
     New edges come in with weight 1.  When nothing flips the input is
@@ -182,8 +181,6 @@ def perturb(g: Graph, p: float = 0.05, rng: np.random.Generator | None = None) -
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    if rng is None:
-        rng = np.random.default_rng()
     pairs = list(combinations(range(g.n), 2))
     draws = rng.random(len(pairs))
     flips = [pq for pq, u in zip(pairs, draws) if u < p]
@@ -193,19 +190,15 @@ def perturb(g: Graph, p: float = 0.05, rng: np.random.Generator | None = None) -
     for u, v in flips:
         w = 0 if adj[u, v] else 1
         adj[u, v] = adj[v, u] = w
-    return prune_min_degree(Graph(adj), dmin=1)
+    return prune_min_degree(Graph(adj))
 
 
-def prune_min_degree(g: Graph, dmin: int = 1) -> Graph:
-    """Iteratively drop nodes of degree below dmin until stable."""
-    adj = np.array(g.adj)
-    while True:
-        if adj.shape[0] == 0:
-            raise ValueError(f"pruning at dmin={dmin} removed every node")
-        keep = (adj > 0).sum(axis=1) >= dmin
-        if keep.all():
-            return Graph(adj)
-        adj = adj[np.ix_(keep, keep)]
+def prune_min_degree(g: Graph) -> Graph:
+    """Drop the isolated nodes; that leaves every other degree unchanged."""
+    keep = (g.adj > 0).any(axis=1)
+    if not keep.any():
+        raise ValueError("every node is isolated")
+    return Graph(g.adj[np.ix_(keep, keep)])
 
 
 def nonbacktracking_matrix(g: Graph) -> np.ndarray:

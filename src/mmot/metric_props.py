@@ -337,7 +337,6 @@ def check_n_metric_cost(
     cost: np.ndarray,
     atoms: np.ndarray,
     C: float = 1.0,
-    tol: float = ZERO_TOL,
 ) -> MetricReport:
     """Audit the four generalized-metric properties of a shared cost tensor.
 
@@ -357,7 +356,7 @@ def check_n_metric_cost(
         rep.violations.append({"kind": "nonnegativity", "where": list(s),
                                "margin": float(cost[s])})
     for perm in permutations(range(n)):
-        if not np.allclose(cost, np.transpose(cost, perm), rtol=0.0, atol=tol):
+        if not np.allclose(cost, np.transpose(cost, perm), rtol=0.0, atol=ZERO_TOL):
             rep.symmetric = False
             rep.violations.append({"kind": "symmetry", "where": list(perm),
                                    "margin": 0.0})
@@ -366,7 +365,7 @@ def check_n_metric_cost(
     all_equal = np.ones(cost.shape, dtype=bool)
     for t in range(1, n):
         all_equal &= np.expand_dims(same, [a for a in range(n) if a not in (0, t)])
-    for idx in np.argwhere(all_equal != (np.abs(cost) <= tol)):
+    for idx in np.argwhere(all_equal != (np.abs(cost) <= ZERO_TOL)):
         idx = tuple(int(v) for v in idx)
         rep.identity = False
         rep.violations.append({"kind": "identity", "where": list(idx),
@@ -377,7 +376,7 @@ def check_n_metric_cost(
         rhs = rhs + np.expand_dims(cost, r - 1)
     rep.n_checked += rhs.size
     gap = rhs - lhs
-    bad = np.argwhere(gap < -tol)
+    bad = np.argwhere(gap < -ZERO_TOL)
     for row in bad:
         rep.triangle = False
         rep.violations.append({"kind": "triangle",
@@ -391,8 +390,7 @@ def check_n_metric_cost(
     return rep
 
 
-def check_W_tensor(T: DistanceTensor, C: float = 1.0,
-                   slack: float = TRIANGLE_SLACK) -> MetricReport:
+def check_W_tensor(T: DistanceTensor, C: float = 1.0) -> MetricReport:
     """Scan every fully sampled (order+1)-subset for generalized triangle failures.
 
     Each entry of a subset is checked against the sum of the others: the
@@ -431,7 +429,7 @@ def check_W_tensor(T: DistanceTensor, C: float = 1.0,
             total = total + vals[:, r]
         rhs = total[:, None] - vals
         lhs = C * vals
-        for s, r in zip(*np.nonzero(lhs > rhs + slack)):
+        for s, r in zip(*np.nonzero(lhs > rhs + TRIANGLE_SLACK)):
             rep.triangle = False
             subset = subsets[s].tolist()
             rep.violations.append({"kind": "triangle", "where": subset,
@@ -466,8 +464,8 @@ def inject_violations(
         raise ValueError("inject_violations needs an order-3 tensor")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-    if factor <= 1.0:
-        raise ValueError(f"factor must exceed 1, got {factor}")
+    if not (math.isfinite(factor) and factor > 1.0):
+        raise ValueError(f"factor must be finite and exceed 1, got {factor}")
     out = T.copy()
     target = math.ceil(fraction * T.n_sampled)
     if target == 0:
@@ -513,8 +511,7 @@ class GluingResult:
     witness: JointMass | None = None
 
 
-def no_gluing_check(p12: JointMass, p13: JointMass, p23: JointMass,
-                    tol: float = COMPAT_TOL) -> GluingResult:
+def no_gluing_check(p12: JointMass, p13: JointMass, p23: JointMass) -> GluingResult:
     """Probe for a trivariate mass with the three given bivariate marginals.
 
     Incompatible univariate marginals raise; a clean Infeasible therefore
@@ -535,7 +532,7 @@ def no_gluing_check(p12: JointMass, p13: JointMass, p23: JointMass,
     ]
     for name, a, b in checks:
         err = float(np.abs(a - b).max())
-        if err > tol:
+        if err > COMPAT_TOL:
             raise ValueError(f"incompatible univariate marginals on {name} "
                              f"(max deviation {err:.3g})")
     # unknowns r[i,j,k] flattened row-major; one row per cell of each

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lp
-from .core import MAX_ENTRIES, DiscreteDistribution, JointMass, marginal, same_atoms
+from .core import MAX_ENTRIES, DiscreteDistribution, JointMass, check_ell, marginal, same_atoms
 
 __all__ = [
     "SENTINEL_COST",
@@ -111,6 +111,7 @@ def _solve_coupling(dists: Sequence[DiscreteDistribution], cost: np.ndarray,
     no coupling fits on the open cells the instance is blocked: the value
     is SENTINEL_COST and the coupling is the product of the marginals.
     """
+    ell = check_ell(ell)
     cost = np.asarray(cost, dtype=float)
     shape = tuple(p.size for p in dists)
     if cost.shape != shape:
@@ -122,7 +123,7 @@ def _solve_coupling(dists: Sequence[DiscreteDistribution], cost: np.ndarray,
         )
     if np.any(np.isnan(cost)) or np.any(cost < 0):
         raise ValueError("costs must be nonnegative and not NaN")
-    c = cost.ravel() ** int(ell)
+    c = cost.ravel() ** ell
     cells = np.flatnonzero(c < EFFECTIVELY_INFINITE)
     b = np.concatenate([p.masses for p in dists])
     sol = (lp.solve(lp.LpProblem(c[cells], _marginal_constraints(shape, cells), b))

@@ -230,6 +230,18 @@ class TestExperimentCommands:
         assert rc == 2
         assert "needs an order-3 tensor" in err
 
+    @pytest.mark.parametrize("factor", ["inf", "nan"])
+    def test_inject_rejects_a_non_finite_factor(self, tmp_path, capsys, factor):
+        tensor = tmp_path / "four.csv"
+        tensor.write_text("0,1,2,1.0,1\n0,1,3,1.0,1\n0,2,3,1.0,1\n1,2,3,1.0,1\n")
+        out, report = tmp_path / "inj.csv", tmp_path / "inj.json"
+        rc, _, err = run(["inject", "--seed", "5", "--tensor", str(tensor),
+                          "--factor", factor, "--out", str(out), "--report", str(report)],
+                         capsys)
+        assert rc == 2
+        assert "factor must be finite" in err
+        assert not out.exists() and not report.exists()
+
 
 # one raw value per config key except seed, valid as a flag and as a file line
 FLAG_VALUES = {

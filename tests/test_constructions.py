@@ -143,5 +143,3 @@ class TestCollinearInstance:
             collinear_instance(2, 3)
         with pytest.raises(ValueError):
             collinear_instance(4, 1)
-        with pytest.raises(ValueError):
-            collinear_instance(4, 3, spacing=-1.0)

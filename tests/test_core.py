@@ -13,6 +13,7 @@ from mmot.core import (
     DiscreteDistribution,
     JointMass,
     braket,
+    check_ell,
     conditional,
     glue,
     marginal,
@@ -100,6 +101,14 @@ class TestBraket:
         B /= B.sum()
         for ell in (1, 2, 3):
             assert braket(A, B, ell) == pytest.approx(float((A**ell * B).sum()), rel=1e-14)
+
+    @pytest.mark.parametrize("ell", [0, -1, 1.5, np.nan, np.inf])
+    def test_ell_must_be_a_positive_integer(self, ell):
+        with pytest.raises(ValueError, match="ell must be a positive integer"):
+            braket(np.ones(2), np.ones(2), ell)
+
+    def test_integral_float_ell_is_an_int(self):
+        assert check_ell(2.0) == 2 and type(check_ell(2.0)) is int
 
 
 class TestMarginal:

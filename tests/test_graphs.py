@@ -93,8 +93,8 @@ class TestFamilies:
             grid2d_periodic(2, 4)
 
     def test_erdos_renyi_seeded_and_pruned(self):
-        g1 = erdos_renyi(10, 0.4, np.random.default_rng(5))
-        g2 = erdos_renyi(10, 0.4, np.random.default_rng(5))
+        g1 = erdos_renyi(10, 0.4, rng=np.random.default_rng(5))
+        g2 = erdos_renyi(10, 0.4, rng=np.random.default_rng(5))
         assert g1 == g2
         assert all(d >= 1 for d in g1.degrees())
 
@@ -103,7 +103,7 @@ class TestFamilies:
             g = generate(family, params, rng=np.random.default_rng(0))
             assert g.n >= 3
         with pytest.raises(ValueError):
-            generate("petersen", {})
+            generate("petersen", {}, None)
 
 
 class TestPerturb:

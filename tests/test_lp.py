@@ -143,17 +143,23 @@ def test_redundant_rows_are_dropped():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dense_A_with_nonfinite_entries_rejected(bad):
+    with pytest.raises(ValueError, match="A contains NaN"):
+        lp.LpProblem([1.0, 1.0], [[1.0, 0.0], [0.0, bad]], [1.0, 1.0])
+
+
+def test_dense_A_is_stored_as_csc():
+    A = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+    p = lp.LpProblem([1.0, 1.0, 1.0], A, [1.0, 1.0])
+    assert isinstance(p.A, sparse.csc_array)
+    np.testing.assert_array_equal(p.A.toarray(), A)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_sparse_A_with_nonfinite_data_rejected(bad):
     A = sparse.csc_array(np.array([[1.0, 0.0], [0.0, bad]]))
     with pytest.raises(ValueError, match="A contains NaN"):
         lp.LpProblem([1.0, 1.0], A, [1.0, 1.0])
-
-
-def test_pivot_cap_raises():
-    rng = np.random.default_rng(5)
-    c, A, b = random_feasible_lp(rng)
-    with pytest.raises(lp.PivotLimitError):
-        lp.solve(lp.LpProblem(c, A, b), max_pivots=1)
 
 
 def test_feasible_reports_witness():

@@ -541,6 +541,11 @@ class TestInjectViolations:
         with pytest.raises(ValueError):
             inject_violations(T, rng, factor=1.0)
 
+    @pytest.mark.parametrize("factor", [math.inf, math.nan])
+    def test_non_finite_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="factor must be finite"):
+            inject_violations(metric_tensor(5), np.random.default_rng(0), factor=factor)
+
     def test_zero_fraction_is_identity(self):
         T = metric_tensor(5)
         out = inject_violations(T, np.random.default_rng(1), fraction=0.0)

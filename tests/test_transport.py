@@ -190,6 +190,16 @@ def euclidean_pairwise(ps):
     return PairwiseCost({(s, t): euclidean_cost(ps[s], ps[t]) for s, t in combinations(range(len(ps)), 2)})
 
 
+class TestEll:
+    @pytest.mark.parametrize("ell", [0, -1, 1.5, np.nan, np.inf])
+    def test_non_positive_or_fractional_ell_rejected(self, ell):
+        p, q = DiscreteDistribution([0.0], [1.0]), DiscreteDistribution([4.0], [1.0])
+        with pytest.raises(ValueError, match="ell must be a positive integer"):
+            mmot([p, q], [[4.0]], ell=ell)
+        with pytest.raises(ValueError, match="ell must be a positive integer"):
+            wasserstein(p, q, [[4.0]], ell=ell)
+
+
 class TestPairwiseMMOT:
     def test_requires_ell_one(self):
         rng = np.random.default_rng(41)
