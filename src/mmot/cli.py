@@ -28,7 +28,7 @@ from .experiments import (
     load_config_file,
     parse_config_value,
 )
-from .graphs import generate, save_graph
+from .graphs import DEFAULT_FAMILIES, generate, save_graph
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -107,12 +107,14 @@ def _run_constructions_planar(args: argparse.Namespace) -> int:
     return 0
 
 
+# one `graphs gen` size flag per family parameter, typed like its default
+_FAMILY_FLAGS = {key: type(val) for params in DEFAULT_FAMILIES.values()
+                 for key, val in params.items()}
+
+
 def _run_graphs_gen(args: argparse.Namespace) -> int:
-    params = {}
-    for key in ("n", "a", "b", "dim", "k", "rows", "cols", "p"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
+    params = {key: getattr(args, key) for key in _FAMILY_FLAGS
+              if getattr(args, key) is not None}
     rng = None
     if args.family == "erdos_renyi":
         if args.seed is None:
@@ -169,14 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--family", required=True)
     pg.add_argument("--out", required=True)
     pg.add_argument("--seed", type=int, help="required for erdos_renyi")
-    pg.add_argument("--n", type=int)
-    pg.add_argument("--a", type=int)
-    pg.add_argument("--b", type=int)
-    pg.add_argument("--dim", type=int)
-    pg.add_argument("--k", type=int)
-    pg.add_argument("--rows", type=int)
-    pg.add_argument("--cols", type=int)
-    pg.add_argument("--p", type=float)
+    for key, kind in _FAMILY_FLAGS.items():
+        pg.add_argument("--" + key, type=kind)
     pg.set_defaults(func=_run_graphs_gen)
 
     return parser

@@ -18,7 +18,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
 from .linalg import eig_symmetric
-from .metric_props import SENTINEL, DistanceTensor
+from .metric_props import DistanceTensor
 
 __all__ = [
     "Hypergraph3",
@@ -178,18 +178,17 @@ def nhcut(h: Hypergraph3, k: int, rng: np.random.Generator) -> ClusteringSolutio
 def spectral_cluster(D: DistanceTensor, k: int, rng: np.random.Generator) -> ClusteringSolution:
     """Random-walk spectral clustering on a sampled pairwise tensor.
 
-    Unsampled or sentinel-valued pairs contribute zero affinity.
+    Unsampled pairs contribute zero affinity.
     """
     if D.order != 2:
         raise ValueError(f"need an order-2 tensor, got order {D.order}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     keys, weights = D.sampled_entries()
-    finite = weights < SENTINEL
     A = np.zeros((D.size, D.size))
-    if finite.any():
-        i, j = keys[finite].T
-        aff = _affinities(weights[finite])
+    if weights.size:
+        i, j = keys.T
+        aff = _affinities(weights)
         A[i, j] = aff
         A[j, i] = aff
     return _spectral_labels(A, A.sum(axis=1), A > 0.0, k, rng, random_walk=True)

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -53,6 +53,7 @@ from .metric_props import (
     no_gluing_check,
 )
 from .transport import (
+    EFFECTIVELY_INFINITE,
     PairwiseCost,
     barycenter_mmot,
     euclidean_cost,
@@ -108,16 +109,12 @@ def _stream(master: int, t: int, u: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(master, t, u)))
 
 
-_FAMILY_NAMES = tuple(name for name, _ in DEFAULT_FAMILIES)
-_FAMILY_PARAMS = {name: params for name, params in DEFAULT_FAMILIES}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Flat, fully serializable description of one experiment run."""
 
     seed: int
-    families: tuple[str, ...] = _FAMILY_NAMES
+    families: tuple[str, ...] = tuple(DEFAULT_FAMILIES)
     graphs_per_family: int = 10
     perturb_p: float = 0.05
     input_dir: str | None = None
@@ -136,7 +133,7 @@ class ExperimentConfig:
         if not isinstance(self.seed, int):
             raise ValueError("config key 'seed': must be an integer")
         for fam in self.families:
-            if fam not in _FAMILY_PARAMS:
+            if fam not in DEFAULT_FAMILIES:
                 raise ValueError(f"config key 'families': unknown family {fam!r}")
         if not self.families and self.input_dir is None:
             raise ValueError("config key 'families': need at least one family")
@@ -167,32 +164,27 @@ class ExperimentConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _parse_families(raw: str) -> tuple[str, ...]:
+def _parse_names(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
-def _parse_grid(raw: str) -> tuple[float, ...]:
+def _parse_floats(raw: str) -> tuple[float, ...]:
     return tuple(float(part) for part in raw.split(",") if part.strip())
 
 
+# one parser per ExperimentConfig annotation, so the dataclass fields are
 # the one schema of the config keys: a config-file line and a CLI flag
 # both go through these parsers, then ExperimentConfig validates
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "str | None": str,
+    "tuple[str, ...]": _parse_names,
+    "tuple[float, ...] | None": _parse_floats,
+}
 CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
-    "seed": int,
-    "families": _parse_families,
-    "graphs_per_family": int,
-    "perturb_p": float,
-    "input_dir": str,
-    "top_k": int,
-    "backend": str,
-    "ell": int,
-    "pairs_budget": int,
-    "triples_budget": int,
-    "sampling": str,
-    "threshold_grid": _parse_grid,
-    "clusterer": str,
-    "trials": int,
-    "out_dir": str,
+    f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)
 }
 
 
@@ -238,38 +230,33 @@ class CorpusGraph:
 
 
 def _corpus_from_dir(input_dir: str) -> list[CorpusGraph]:
-    names = sorted(
-        f for f in os.listdir(input_dir)
-        if f.endswith(".csv") and f != "labels.csv"
-    )
-    if not names:
+    stems = [f[:-4] for f in sorted(os.listdir(input_dir))
+             if f.endswith(".csv") and f != "labels.csv"]
+    if not stems:
         raise ValueError(f"no graph csv files in {input_dir}")
-    labels: dict[str, int] = {}
+    raw: dict[str, int] = {}
     labels_path = os.path.join(input_dir, "labels.csv")
     if os.path.exists(labels_path):
-        raw: dict[str, int] = {}
         with open(labels_path) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 name, _, lab = line.partition(",")
+                name, where = name.strip(), f"{labels_path}:{lineno}"
+                if name in raw:
+                    raise ValueError(f"{where}: graph {name!r} labeled twice")
+                if name not in stems:
+                    raise ValueError(f"{where}: no graph file {name}.csv")
                 try:
-                    raw[name.strip()] = int(lab)
+                    raw[name] = int(lab)
                 except ValueError:
-                    raise ValueError(f"{labels_path}:{lineno}: bad label {lab!r}") from None
-        remap = {lab: i for i, lab in enumerate(sorted(set(raw.values())))}
-        labels = {name: remap[lab] for name, lab in raw.items()}
-    out = []
-    for name in names:
-        stem = name[:-4]
-        out.append(CorpusGraph(
-            graph_id=stem,
-            family=stem,
-            label=labels.get(stem, -1),
-            graph=load_graph(os.path.join(input_dir, name)),
-        ))
-    return out
+                    raise ValueError(f"{where}: bad label {lab!r}") from None
+    remap = {lab: i for i, lab in enumerate(sorted(set(raw.values())))}
+    return [CorpusGraph(graph_id=stem, family=stem,
+                        label=remap[raw[stem]] if stem in raw else -1,
+                        graph=load_graph(os.path.join(input_dir, stem + ".csv")))
+            for stem in stems]
 
 
 def build_corpus(config: ExperimentConfig) -> list[CorpusGraph]:
@@ -281,7 +268,7 @@ def build_corpus(config: ExperimentConfig) -> list[CorpusGraph]:
     for label, fam in enumerate(config.families):
         for copy in range(config.graphs_per_family):
             rng = _stream(config.seed, 0, gi)
-            base = generate(fam, _FAMILY_PARAMS[fam], rng)
+            base = generate(fam, {}, rng)
             g = perturb(base, config.perturb_p, rng=rng)
             out.append(CorpusGraph(f"{fam}-{copy:02d}", fam, label, g))
             gi += 1
@@ -360,8 +347,11 @@ def _blocked_triples(n: int, budget: int, rng: np.random.Generator) -> list[tupl
 
 
 def compute_tensor(config: ExperimentConfig,
-                   dists: Sequence[DiscreteDistribution]) -> DistanceTensor:
-    """Fill a distance tensor over seeded sampled index tuples."""
+                   dists: Sequence[DiscreteDistribution]) -> tuple[DistanceTensor, int]:
+    """Fill a distance tensor over seeded sampled index tuples; also count the solves.
+
+    A blocked instance (value above EFFECTIVELY_INFINITE) stays unsampled.
+    """
     order = 2 if config.backend == "wd_pairwise" else 3
     budget = config.pairs_budget if order == 2 else config.triples_budget
     n = len(dists)
@@ -378,8 +368,10 @@ def compute_tensor(config: ExperimentConfig,
         chosen = [universe[i] for i in sorted(picks.tolist())]
     T = DistanceTensor(order=order, size=n)
     for tup in chosen:
-        T.set(tup, _tuple_distance(config.backend, [dists[i] for i in tup], config.ell))
-    return T
+        value = _tuple_distance(config.backend, [dists[i] for i in tup], config.ell)
+        if value <= EFFECTIVELY_INFINITE:
+            T.set(tup, value)
+    return T, len(chosen)
 
 
 def _write_json(path: str, data: object) -> None:
@@ -393,7 +385,7 @@ def cmd_distances(config: ExperimentConfig) -> dict:
     started = time.monotonic()
     corpus = build_corpus(config)
     dists = [signature_distribution(signature(cg.graph, config.top_k)) for cg in corpus]
-    T = compute_tensor(config, dists)
+    T, solves = compute_tensor(config, dists)
     os.makedirs(config.out_dir, exist_ok=True)
     manifest = {
         "config": json.loads(config.to_json()),
@@ -419,7 +411,7 @@ def cmd_distances(config: ExperimentConfig) -> dict:
         "order": T.order,
         "n_graphs": len(corpus),
         "n_sampled": T.n_sampled,
-        "transport_solves": T.n_sampled,
+        "transport_solves": solves,
     }
     meta_path = os.path.join(config.out_dir, f"distances_{config.backend}.json")
     _write_json(meta_path, meta)
@@ -453,10 +445,11 @@ class ExperimentReport:
 
 
 def _truth_labels(corpus: list[CorpusGraph]) -> tuple[int, ...]:
-    labels = tuple(cg.label for cg in corpus)
-    if any(lab < 0 for lab in labels):
-        raise ValueError("corpus has no truth labels (labels.csv missing?)")
-    return labels
+    missing = [cg.graph_id for cg in corpus if cg.label < 0]
+    if missing:
+        raise ValueError(f"no truth label for {len(missing)} of {len(corpus)} graphs "
+                         f"({', '.join(missing)}); labels.csv missing or incomplete")
+    return tuple(cg.label for cg in corpus)
 
 
 def cmd_cluster(config: ExperimentConfig, tensor_path: str) -> tuple[ExperimentReport, str]:

@@ -76,25 +76,25 @@ def _from_pairs(n: int, pairs) -> Graph:
     return Graph(adj)
 
 
-def complete(n: int = 10) -> Graph:
+def complete(n: int) -> Graph:
     if n < 2:
         raise ValueError(f"complete graph needs n >= 2, got {n}")
     return _from_pairs(n, combinations(range(n), 2))
 
 
-def complete_bipartite(a: int = 5, b: int = 5) -> Graph:
+def complete_bipartite(a: int, b: int) -> Graph:
     if a < 1 or b < 1:
         raise ValueError(f"both sides must be nonempty, got ({a}, {b})")
     return _from_pairs(a + b, ((u, a + v) for u in range(a) for v in range(b)))
 
 
-def cycle(n: int = 12) -> Graph:
+def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
     return _from_pairs(n, ((i, (i + 1) % n) for i in range(n)))
 
 
-def hypercube(dim: int = 3) -> Graph:
+def hypercube(dim: int) -> Graph:
     if dim < 1:
         raise ValueError(f"hypercube needs dim >= 1, got {dim}")
     n = 1 << dim
@@ -102,7 +102,7 @@ def hypercube(dim: int = 3) -> Graph:
     return _from_pairs(n, pairs)
 
 
-def khop_lattice(n: int = 12, k: int = 2) -> Graph:
+def khop_lattice(n: int, k: int) -> Graph:
     # ring where every node reaches k hops in both directions
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -112,7 +112,7 @@ def khop_lattice(n: int = 12, k: int = 2) -> Graph:
     return _from_pairs(n, ((min(u, v), max(u, v)) for u, v in pairs))
 
 
-def grid2d_periodic(rows: int = 3, cols: int = 4) -> Graph:
+def grid2d_periodic(rows: int, cols: int) -> Graph:
     if rows < 3 or cols < 3:
         raise ValueError(f"periodic grid needs both sides >= 3, got ({rows}, {cols})")
     def nid(r: int, c: int) -> int:
@@ -125,7 +125,7 @@ def grid2d_periodic(rows: int = 3, cols: int = 4) -> Graph:
     return _from_pairs(rows * cols, ((min(u, v), max(u, v)) for u, v in pairs))
 
 
-def erdos_renyi(n: int = 10, p: float = 0.4, *, rng: np.random.Generator) -> Graph:
+def erdos_renyi(n: int, p: float, *, rng: np.random.Generator) -> Graph:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if not 0.0 <= p <= 1.0:
@@ -137,43 +137,42 @@ def erdos_renyi(n: int = 10, p: float = 0.4, *, rng: np.random.Generator) -> Gra
     return prune_min_degree(g)
 
 
-_FAMILIES = {
-    "complete": complete,
-    "complete_bipartite": complete_bipartite,
-    "cycle": cycle,
-    "hypercube": hypercube,
-    "khop_lattice": khop_lattice,
-    "grid2d_periodic": grid2d_periodic,
-    "erdos_renyi": erdos_renyi,
-}
+_BUILDERS = {build.__name__: build for build in (
+    complete, complete_bipartite, cycle, hypercube, khop_lattice, grid2d_periodic,
+    erdos_renyi)}
 
-# default corpus recipe: small enough for millisecond spectra, distinct
-# enough that signatures separate the families
-DEFAULT_FAMILIES: tuple[tuple[str, dict], ...] = (
-    ("complete", {"n": 10}),
-    ("complete_bipartite", {"a": 5, "b": 5}),
-    ("cycle", {"n": 12}),
-    ("hypercube", {"dim": 3}),
-    ("khop_lattice", {"n": 12, "k": 2}),
-    ("grid2d_periodic", {"rows": 3, "cols": 4}),
-    ("erdos_renyi", {"n": 10, "p": 0.4}),
-)
+# each family's parameters, and the default corpus recipe: small enough for
+# millisecond spectra, distinct enough that signatures separate the families
+DEFAULT_FAMILIES: dict[str, dict] = {
+    "complete": {"n": 10},
+    "complete_bipartite": {"a": 5, "b": 5},
+    "cycle": {"n": 12},
+    "hypercube": {"dim": 3},
+    "khop_lattice": {"n": 12, "k": 2},
+    "grid2d_periodic": {"rows": 3, "cols": 4},
+    "erdos_renyi": {"n": 10, "p": 0.4},
+}
 
 
 def generate(family: str, params: dict, rng: np.random.Generator | None) -> Graph:
-    """Build one named graph; only erdos_renyi consumes the rng, and needs one."""
-    if family not in _FAMILIES:
+    """Build one named graph, params defaulting to DEFAULT_FAMILIES; erdos_renyi needs the rng."""
+    if family not in DEFAULT_FAMILIES:
         raise ValueError(f"unknown family {family!r}; "
-                         f"choose from {sorted(_FAMILIES)}")
-    params = dict(params)
+                         f"choose from {sorted(DEFAULT_FAMILIES)}")
+    defaults = DEFAULT_FAMILIES[family]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"family {family!r} takes no parameter {unknown[0]!r}; "
+                         f"it takes {sorted(defaults)}")
+    params = {**defaults, **params}
     if family == "erdos_renyi":
         if rng is None:
             raise ValueError("erdos_renyi needs a random generator")
         params["rng"] = rng
-    return _FAMILIES[family](**params)
+    return _BUILDERS[family](**params)
 
 
-def perturb(g: Graph, p: float = 0.05, *, rng: np.random.Generator) -> Graph:
+def perturb(g: Graph, p: float, *, rng: np.random.Generator) -> Graph:
     """Flip each node pair's edge presence with probability p, then prune.
 
     New edges come in with weight 1.  When nothing flips the input is
@@ -219,7 +218,7 @@ def nonbacktracking_matrix(g: Graph) -> np.ndarray:
     return m
 
 
-def signature(g: Graph, top_k: int = 16) -> np.ndarray:
+def signature(g: Graph, top_k: int) -> np.ndarray:
     """Leading top_k non-backtracking eigenvalues in canonical order, read-only."""
     if top_k < 1:
         raise ValueError(f"top_k must be at least 1, got {top_k}")

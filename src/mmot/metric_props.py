@@ -16,14 +16,12 @@ from itertools import combinations, permutations
 from typing import Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lp
 from .core import MAX_ENTRIES, JointMass, same_atoms
-from .transport import PairwiseCost
+from .transport import SENTINEL_COST, PairwiseCost, marginal_constraints
 
 __all__ = [
-    "SENTINEL",
     "DistanceTensor",
     "MetricReport",
     "GluingResult",
@@ -33,10 +31,6 @@ __all__ = [
     "inject_violations",
     "no_gluing_check",
 ]
-
-# unsampled entries carry this exact value so downstream consumers that
-# cannot skip entries see something very large instead of garbage
-SENTINEL = 1e9
 
 ZERO_TOL = 1e-12
 TRIANGLE_SLACK = 1e-8
@@ -107,12 +101,12 @@ class DistanceTensor:
         return out
 
     def to_csv(self, path: str) -> None:
-        # every increasing tuple is written, unsampled ones as sentinel,
-        # so the file fully determines (order, size)
+        # every increasing tuple is written, unsampled ones with flag 0 and
+        # value SENTINEL_COST, so the file fully determines (order, size)
         keys = list(combinations(range(self.size), self.order))
         vals = self.dense[tuple(np.array(keys).T)]
         flags = ~np.isnan(vals)
-        vals[~flags] = SENTINEL
+        vals[~flags] = SENTINEL_COST
         # tolist() gives Python floats, whose repr round-trips exactly
         with open(path, "w") as fh:
             fh.writelines(f"{','.join(map(str, key))},{v!r},{f:d}\n"
@@ -447,8 +441,8 @@ def check_W_tensor(T: DistanceTensor, C: float = 1.0) -> MetricReport:
 def inject_violations(
     T: DistanceTensor,
     rng: np.random.Generator,
-    fraction: float = 0.20,
-    factor: float = 1.3,
+    fraction: float,
+    factor: float,
 ) -> DistanceTensor:
     """Rewrite sampled entries until `fraction` of them break the C=1 bound.
 
@@ -537,12 +531,8 @@ def no_gluing_check(p12: JointMass, p13: JointMass, p23: JointMass) -> GluingRes
                              f"(max deviation {err:.3g})")
     # unknowns r[i,j,k] flattened row-major; one row per cell of each
     # bivariate marginal, in the blocks p23, p13, p12
-    n = m1 * m2 * m3
-    i, j, k = np.unravel_index(np.arange(n), (m1, m2, m3))
-    rows = np.concatenate([j * m3 + k, m2 * m3 + i * m3 + k,
-                           (m2 + m1) * m3 + i * m2 + j])
-    A = sp.csc_array((np.ones(3 * n), (rows, np.tile(np.arange(n), 3))),
-                     shape=(m2 * m3 + m1 * m3 + m1 * m2, n))
+    A = marginal_constraints((m1, m2, m3), np.arange(m1 * m2 * m3),
+                             blocks=[(1, 2), (0, 2), (0, 1)])
     b = np.concatenate([p23.entries.ravel(), p13.entries.ravel(),
                         p12.entries.ravel()])
     status, x = lp.feasible(A, b)

@@ -33,6 +33,7 @@ __all__ = [
     "pairwise_mmot",
     "barycenter_mmot",
     "euclidean_cost",
+    "marginal_constraints",
 ]
 
 SENTINEL_COST = 1e15
@@ -87,19 +88,28 @@ def euclidean_cost(p1: DiscreteDistribution, p2: DiscreteDistribution) -> np.nda
     return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
 
 
-def _marginal_constraints(shape: Sequence[int], cells: np.ndarray) -> sp.csc_array:
-    """Equality system forcing every univariate marginal of the coupling.
+def marginal_constraints(shape: Sequence[int], cells: np.ndarray,
+                         blocks: Sequence[Sequence[int]] | None = None) -> sp.csc_array:
+    """Equality system forcing the coupling's marginals over blocks of axes (default: each axis).
 
-    One row per atom of each marginal, stacked axis by axis; column j is
-    the flat coupling cell cells[j], with a single 1 in every axis block.
+    One row per cell of each block's marginal, row-major, stacked block by
+    block; column j is the flat coupling cell cells[j], with a 1 in every block.
     """
     shape = tuple(int(m) for m in shape)
+    if blocks is None:
+        blocks = [(axis,) for axis in range(len(shape))]
     coords = np.unravel_index(cells, shape)
-    offsets = np.cumsum((0,) + shape[:-1])
-    rows = np.stack([off + idx for off, idx in zip(offsets, coords)], axis=1).ravel()
-    n, k = len(shape), cells.size
-    return sp.csc_array((np.ones(n * k), rows, np.arange(0, n * k + 1, n)),
-                        shape=(sum(shape), k))
+    n, k = len(blocks), cells.size
+    rows = np.empty((k, n), dtype=np.intp)
+    offset = 0
+    for b, block in enumerate(blocks):
+        idx, size = 0, 1
+        for a in block:
+            idx, size = idx * shape[a] + coords[a], size * shape[a]
+        rows[:, b] = offset + idx
+        offset += size
+    return sp.csc_array((np.ones(n * k), rows.ravel(), np.arange(0, n * k + 1, n)),
+                        shape=(offset, k))
 
 
 def _solve_coupling(dists: Sequence[DiscreteDistribution], cost: np.ndarray,
@@ -126,7 +136,7 @@ def _solve_coupling(dists: Sequence[DiscreteDistribution], cost: np.ndarray,
     c = cost.ravel() ** ell
     cells = np.flatnonzero(c < EFFECTIVELY_INFINITE)
     b = np.concatenate([p.masses for p in dists])
-    sol = (lp.solve(lp.LpProblem(c[cells], _marginal_constraints(shape, cells), b))
+    sol = (lp.solve(lp.LpProblem(c[cells], marginal_constraints(shape, cells), b))
            if cells.size else None)
     if sol is not None and sol.status == lp.OPTIMAL:
         value = max(float(sol.value), 0.0) ** (1.0 / ell)

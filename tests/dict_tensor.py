@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from mmot.metric_props import SENTINEL, TRIANGLE_SLACK, ZERO_TOL, DistanceTensor
+from mmot.metric_props import TRIANGLE_SLACK, ZERO_TOL, DistanceTensor
 from mmot.transport import SENTINEL_COST
 
 
@@ -62,7 +62,7 @@ class DictTensor:
     def to_csv(self, path):
         with open(path, "w") as fh:
             for key in self.all_keys():
-                value = self.values.get(key, SENTINEL)
+                value = self.values.get(key, SENTINEL_COST)
                 flag = 1 if key in self.sampled else 0
                 fh.write(",".join(str(i) for i in key) + f",{value!r},{flag}\n")
 

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, config handling, exit codes."""
 
+import argparse
 import hashlib
 import json
 
@@ -8,7 +9,7 @@ import pytest
 from mmot import experiments
 from mmot.cli import _build_config, build_parser, main
 from mmot.experiments import CONFIG_PARSERS
-from mmot.graphs import load_graph
+from mmot.graphs import DEFAULT_FAMILIES, generate, load_graph
 
 
 def run(argv, capsys):
@@ -22,6 +23,11 @@ def run(argv, capsys):
 
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def subcommand(parser, name):
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
 
 
 class TestHashAudit:
@@ -101,6 +107,34 @@ class TestGraphsGen:
             ["graphs", "gen", "--family", "petersen", "--out", str(tmp_path / "x.csv")], capsys
         )
         assert rc == 2
+
+    def test_param_the_family_does_not_take_exits_2(self, tmp_path, capsys):
+        p = tmp_path / "c.csv"
+        rc, out, err = run(
+            ["graphs", "gen", "--family", "cycle", "--a", "3", "--out", str(p)], capsys
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error:") and "'a'" in err
+        assert not p.exists()
+
+    @pytest.mark.parametrize("family", sorted(set(DEFAULT_FAMILIES) - {"erdos_renyi"}))
+    def test_omitted_flags_take_the_family_defaults(self, tmp_path, capsys, family):
+        p = tmp_path / "g.csv"
+        rc, _, _ = run(["graphs", "gen", "--family", family, "--out", str(p)], capsys)
+        assert rc == 0
+        want = generate(family, DEFAULT_FAMILIES[family], None)
+        assert list(load_graph(str(p)).edges()) == list(want.edges())
+
+    def test_size_flags_are_the_family_params(self):
+        parser = build_parser()
+        graphs = subcommand(parser, "graphs")
+        gen = subcommand(graphs, "gen")
+        flags = {a.dest: a.type for a in gen._actions
+                 if a.dest not in ("help", "family", "out", "seed")}
+        want = {key: type(val) for params in DEFAULT_FAMILIES.values()
+                for key, val in params.items()}
+        assert flags == want
 
 
 class TestVerify:

@@ -18,7 +18,7 @@ from mmot.clustering import (
 )
 from mmot import clustering
 from mmot.clustering import _confusion
-from mmot.metric_props import SENTINEL, DistanceTensor
+from mmot.metric_props import DistanceTensor
 
 from dict_tensor import build_hypergraph_oracle, default_grid_oracle, random_pairs
 
@@ -92,10 +92,10 @@ def incidence_oracle(h):
 
 def pair_affinity_oracle(D):
     """spectral_cluster's pair affinities, one pair at a time."""
-    finite = {key: v for key, v in D.values.items() if v < SENTINEL}
+    entries = sorted(D.values.items())
     A = np.zeros((D.size, D.size))
-    aff = clustering._affinities(np.array([v for _, v in sorted(finite.items())]))
-    for ((i, j), _), a in zip(sorted(finite.items()), aff):
+    aff = clustering._affinities(np.array([v for _, v in entries]))
+    for ((i, j), _), a in zip(entries, aff):
         A[i, j] = A[j, i] = a
     return A
 

@@ -23,8 +23,12 @@ from mmot.experiments import (
     signature_distribution,
     splitmix64,
 )
-from mmot.graphs import signature
+from mmot import experiments
+from mmot.cli import main
+from mmot.clustering import ClusteringSolution, tune_threshold
+from mmot.graphs import complete, cycle, save_graph, signature
 from mmot.metric_props import DistanceTensor, check_W_tensor
+from mmot.transport import EFFECTIVELY_INFINITE, SENTINEL_COST
 
 
 class TestSeeds:
@@ -134,6 +138,39 @@ class TestCorpus:
         assert any(x.graph != y.graph for x, y in zip(a, b))
 
 
+class TestLabelsFile:
+    def corpus_dir(self, tmp_path, labels):
+        for name, g in (("g0", cycle(4)), ("g1", cycle(5)), ("g2", complete(4))):
+            save_graph(g, str(tmp_path / f"{name}.csv"))
+        (tmp_path / "labels.csv").write_text(labels)
+        return ExperimentConfig(seed=1, input_dir=str(tmp_path))
+
+    def test_full_labels_load(self, tmp_path):
+        cfg = self.corpus_dir(tmp_path, "g0,3\ng1,3\ng2,8\n")
+        assert [cg.label for cg in build_corpus(cfg)] == [0, 0, 1]
+
+    def test_repeated_graph_names_its_line(self, tmp_path):
+        cfg = self.corpus_dir(tmp_path, "g0,0\ng1,0\ng0,1\ng2,1\n")
+        with pytest.raises(ValueError, match=r"labels\.csv:3: graph 'g0' labeled twice"):
+            build_corpus(cfg)
+
+    def test_row_without_a_graph_file_names_its_line(self, tmp_path):
+        cfg = self.corpus_dir(tmp_path, "g0,0\ng1,0\n\ng3,1\ng2,1\n")
+        with pytest.raises(ValueError, match=r"labels\.csv:4: no graph file g3\.csv"):
+            build_corpus(cfg)
+
+    def test_cluster_names_the_unlabeled_graphs(self, tmp_path, capsys):
+        cfg = self.corpus_dir(tmp_path, "g0,0\ng2,1\n")
+        T = DistanceTensor(3, 3)
+        T.set((0, 1, 2), 1.0)
+        T.to_csv(str(tmp_path / "t.txt"))
+        rc = main(["cluster", "--seed", "1", "--input-dir", cfg.input_dir,
+                   "--tensor", str(tmp_path / "t.txt"), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no truth label for 1 of 3 graphs (g1)")
+
+
 class TestSignatureDistribution:
     def test_merges_coincident_eigenvalues(self):
         from mmot.graphs import cycle
@@ -170,22 +207,56 @@ class TestComputeTensor:
 
     def test_pair_backend_yields_order_two(self):
         cfg = self.small_config("wd_pairwise")
-        T = compute_tensor(cfg, self.distributions(cfg))
+        T, _ = compute_tensor(cfg, self.distributions(cfg))
         assert T.order == 2
         assert T.n_sampled == 15  # C(6,2), within budget
 
     def test_triple_backend_respects_budget(self):
         cfg = self.small_config("mmot_pairwise")
-        T = compute_tensor(cfg, self.distributions(cfg))
+        T, _ = compute_tensor(cfg, self.distributions(cfg))
         assert T.order == 3
         assert T.n_sampled == 8
 
     def test_deterministic(self):
         cfg = self.small_config("mmot_pairwise")
         dists = self.distributions(cfg)
-        a = compute_tensor(cfg, dists)
-        b = compute_tensor(cfg, dists)
+        a, _ = compute_tensor(cfg, dists)
+        b, _ = compute_tensor(cfg, dists)
         assert a.values == b.values
+
+
+def test_blocked_tuple_is_not_a_distance(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(seed=5, families=("cycle", "complete", "hypercube"),
+                           graphs_per_family=2, top_k=4, backend="mmot_pairwise",
+                           triples_budget=20, out_dir=str(tmp_path))
+    real = experiments._tuple_distance
+    calls = []
+
+    def blocked_first(backend, ps, ell):
+        # tuples are solved in increasing order, so the first is (0, 1, 2)
+        calls.append(ps)
+        return SENTINEL_COST if len(calls) == 1 else real(backend, ps, ell)
+
+    monkeypatch.setattr(experiments, "_tuple_distance", blocked_first)
+    cmd_distances(cfg)
+    meta = json.loads((tmp_path / "distances_mmot_pairwise.json").read_text())
+    assert meta["transport_solves"] == 20
+    assert meta["n_sampled"] == 19
+    T = DistanceTensor.from_csv(str(tmp_path / "tensor_mmot_pairwise.csv"))
+    assert np.isnan(T.dense[0, 1, 2])
+    # the subsets through (0, 1, 2) are skipped, not read as violations
+    rep = check_W_tensor(T)
+    assert rep.triangle and not rep.violations
+    assert rep.empirical_C >= 1.0
+    seen = []
+
+    def record(tensor, th):
+        seen.append(th)
+        return ClusteringSolution(tuple([0] * tensor.size), 1)
+
+    tune_threshold(T, [0] * T.size, record)
+    assert len(seen) == 10
+    assert max(seen) == T.sampled_entries()[1].max() < EFFECTIVELY_INFINITE
 
 
 class TestBlockedSampling:
@@ -235,7 +306,7 @@ class TestBlockedSampling:
         )
         corpus = build_corpus(cfg)
         dists = [signature_distribution(signature(g.graph, top_k=cfg.top_k)) for g in corpus]
-        T = compute_tensor(cfg, dists)
+        T, _ = compute_tensor(cfg, dists)
         assert T.n_sampled == 12
         covered = {v for t in T.values for v in t}
         assert covered == set(range(8))
@@ -251,8 +322,8 @@ class TestBlockedSampling:
         )
         corpus = build_corpus(ExperimentConfig(**base))
         dists = [signature_distribution(signature(g.graph, top_k=6)) for g in corpus]
-        a = compute_tensor(ExperimentConfig(sampling="blocks", **base), dists)
-        b = compute_tensor(ExperimentConfig(sampling="triples", **base), dists)
+        a, _ = compute_tensor(ExperimentConfig(sampling="blocks", **base), dists)
+        b, _ = compute_tensor(ExperimentConfig(sampling="triples", **base), dists)
         assert a.values == b.values
 
 

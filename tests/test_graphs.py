@@ -99,7 +99,7 @@ class TestFamilies:
         assert all(d >= 1 for d in g1.degrees())
 
     def test_generate_dispatch(self):
-        for family, params in DEFAULT_FAMILIES:
+        for family, params in DEFAULT_FAMILIES.items():
             g = generate(family, params, rng=np.random.default_rng(0))
             assert g.n >= 3
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ import pytest
 
 from mmot.core import DiscreteDistribution, JointMass
 from mmot.metric_props import (
-    SENTINEL,
     TRIANGLE_SLACK,
     ZERO_TOL,
     DistanceTensor,
@@ -22,7 +21,7 @@ from mmot.metric_props import (
 from mmot import metric_props
 from mmot.cli import main
 from mmot.constructions import collinear_instance
-from mmot.transport import PairwiseCost, euclidean_cost, pairwise_mmot
+from mmot.transport import SENTINEL_COST, PairwiseCost, euclidean_cost, pairwise_mmot
 
 from dict_tensor import (
     DictTensor,
@@ -52,7 +51,7 @@ class TestDistanceTensor:
         assert (0, 1) not in T.values
         p = tmp_path / "t.csv"
         T.to_csv(str(p))
-        assert p.read_text() == (f"0,1,{SENTINEL!r},0\n0,2,{SENTINEL!r},0\n"
+        assert p.read_text() == (f"0,1,{SENTINEL_COST!r},0\n0,2,{SENTINEL_COST!r},0\n"
                                  "1,2,0.5,1\n")
 
     def test_values_are_read_only(self):
@@ -424,7 +423,7 @@ def oracle_cases():
             cases.append(random_tensor(order, size, rng, p_sampled))
     for seed in (3, 4):
         cases.append(inject_violations(metric_tensor(9, seed=seed),
-                                       np.random.default_rng(seed), fraction=0.2))
+                                       np.random.default_rng(seed), fraction=0.2, factor=1.3))
     negative = random_tensor(3, 6, rng, 1.0)
     negative.dense[0, 1, 2] = -0.25
     cases.append(negative)
@@ -537,18 +536,19 @@ class TestInjectViolations:
         T = metric_tensor(5)
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            inject_violations(T, rng, fraction=1.5)
+            inject_violations(T, rng, fraction=1.5, factor=1.3)
         with pytest.raises(ValueError):
-            inject_violations(T, rng, factor=1.0)
+            inject_violations(T, rng, fraction=0.2, factor=1.0)
 
     @pytest.mark.parametrize("factor", [math.inf, math.nan])
     def test_non_finite_factor_rejected(self, factor):
         with pytest.raises(ValueError, match="factor must be finite"):
-            inject_violations(metric_tensor(5), np.random.default_rng(0), factor=factor)
+            inject_violations(metric_tensor(5), np.random.default_rng(0), fraction=0.2,
+                              factor=factor)
 
     def test_zero_fraction_is_identity(self):
         T = metric_tensor(5)
-        out = inject_violations(T, np.random.default_rng(1), fraction=0.0)
+        out = inject_violations(T, np.random.default_rng(1), fraction=0.0, factor=1.3)
         assert out.values == T.values
         assert not out.modified
 

@@ -27,7 +27,7 @@ from mmot.graphs import DEFAULT_FAMILIES
 from mmot.metric_props import DistanceTensor, MetricReport, check_W_tensor
 
 N_RECORDS = 60
-FAMILY_NAMES = [name for name, _ in DEFAULT_FAMILIES]
+FAMILY_NAMES = list(DEFAULT_FAMILIES)
 
 
 def pick(rng, options):

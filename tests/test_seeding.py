@@ -51,7 +51,8 @@ def test_random_graphs_take_the_generator_by_keyword():
     with pytest.raises(TypeError):
         erdos_renyi(10, 0.4, np.random.default_rng(0))
     with pytest.raises(TypeError):
-        perturb(erdos_renyi(rng=np.random.default_rng(0)), 0.1, np.random.default_rng(0))
+        perturb(erdos_renyi(10, 0.4, rng=np.random.default_rng(0)), 0.1,
+                np.random.default_rng(0))
 
 
 def test_generate_refuses_erdos_renyi_without_a_generator():

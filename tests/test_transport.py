@@ -9,13 +9,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mmot.core import DiscreteDistribution, JointMass, braket, marginal
 from mmot.transport import (
     EFFECTIVELY_INFINITE,
     SENTINEL_COST,
     PairwiseCost,
-    _marginal_constraints,
+    marginal_constraints,
     barycenter_mmot,
     euclidean_cost,
     mmot,
@@ -77,8 +78,21 @@ def test_marginal_constraints_match_dense_build(shape):
     rng = np.random.default_rng(n_cells)
     subset = np.sort(rng.choice(n_cells, size=n_cells // 2, replace=False))
     for cells in (np.arange(n_cells), subset):
-        got = _marginal_constraints(shape, cells)
+        got = marginal_constraints(shape, cells)
         np.testing.assert_array_equal(got.toarray(), dense[:, cells])
+    if len(shape) == 3:
+        # the bivariate blocks p23, p13, p12 of the gluing probe, against
+        # the COO build it had before it shared this builder
+        m1, m2, m3 = shape
+        i, j, k = coords
+        rows = np.concatenate([j * m3 + k, m2 * m3 + i * m3 + k,
+                               (m2 + m1) * m3 + i * m2 + j])
+        want = sp.csc_array((np.ones(3 * n_cells), (rows, np.tile(np.arange(n_cells), 3))),
+                            shape=(m2 * m3 + m1 * m3 + m1 * m2, n_cells))
+        got = marginal_constraints(shape, np.arange(n_cells), blocks=[(1, 2), (0, 2), (0, 1)])
+        assert got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
 
 
 class TestWasserstein:
