@@ -2,7 +2,8 @@
 
 Pairwise distances feed a random-walk spectral clusterer; triple-wise
 distances feed two hypergraph methods: TTM's tensor contraction and the
-normalized hypergraph Laplacian behind NH-Cut.  Distances become
+normalized hypergraph Laplacian behind NH-Cut.  One clique expansion
+builds the affinity matrix of all three.  Distances become
 affinities through exp(-w/sigma) with sigma the median surviving
 weight, so no per-dataset scale knob exists.  All randomness flows
 through an explicit generator and runs repeat bit for bit.
@@ -122,6 +123,18 @@ def _affinities(weights: np.ndarray) -> np.ndarray:
     return np.exp(-weights / sigma)
 
 
+def _clique(n: int, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Clique expansion of (m, r) edges: each adds its affinity to every pair it joins."""
+    if len(weights) == 0:
+        return np.zeros((n, n))
+    # per edge the cells (u,v), (v,u) of each column pair in turn;
+    # bincount adds in input order, so each cell sums edge by edge
+    u, v = (edges[:, c] for c in np.triu_indices(edges.shape[1], 1))
+    cells = np.stack([u * n + v, v * n + u], axis=2).ravel()
+    return np.bincount(cells, weights=np.repeat(_affinities(weights), 2 * u.shape[1]),
+                       minlength=n * n).reshape(n, n)
+
+
 def _spectral_labels(M: np.ndarray, d: np.ndarray, support: np.ndarray, k: int,
                      rng: np.random.Generator,
                      random_walk: bool) -> ClusteringSolution:
@@ -150,15 +163,7 @@ def ttm(h: Hypergraph3, k: int, rng: np.random.Generator) -> ClusteringSolution:
     """Tensor-trace maximization: contract the affinity tensor, then spectral."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    idx, weights = h.edges, h.weights
-    aff = _affinities(weights)
-    # per hyperedge the cells (i,j), (j,i), (i,k), (k,i), (j,k), (k,j);
-    # bincount adds in input order, so each cell sums edge by edge
-    u = idx[:, [0, 0, 1]]
-    v = idx[:, [1, 2, 2]]
-    cells = np.stack([u * h.n + v, v * h.n + u], axis=2).ravel()
-    A = np.bincount(cells, weights=np.repeat(aff, 6),
-                    minlength=h.n * h.n).reshape(h.n, h.n)
+    A = _clique(h.n, h.edges, h.weights)
     return _spectral_labels(A, A.sum(axis=1), A > 0.0, k, rng, random_walk=False)
 
 
@@ -166,13 +171,11 @@ def nhcut(h: Hypergraph3, k: int, rng: np.random.Generator) -> ClusteringSolutio
     """Normalized hypergraph cut via the incidence-based Laplacian."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
-    idx, weights = h.edges, h.weights
-    H = np.zeros((h.n, h.num_edges))
-    H[idx, np.arange(h.num_edges)[:, None]] = 1.0
-    w = _affinities(weights)
-    # every hyperedge has degree 3
-    inner = (H * (w / 3.0)[None, :]) @ H.T
-    return _spectral_labels(inner, H @ w, (H @ H.T) > 0.0, k, rng, random_walk=False)
+    # 3-uniform incidence H: H diag(w/3) H^T = (A + diag(Hw))/3, Hw = A's row sums / 2
+    A = _clique(h.n, h.edges, h.weights)
+    d = A.sum(axis=1) / 2.0
+    return _spectral_labels(A / 3.0 + np.diag(d / 3.0), d, A > 0.0, k, rng,
+                            random_walk=False)
 
 
 def spectral_cluster(D: DistanceTensor, k: int, rng: np.random.Generator) -> ClusteringSolution:
@@ -184,24 +187,17 @@ def spectral_cluster(D: DistanceTensor, k: int, rng: np.random.Generator) -> Clu
         raise ValueError(f"need an order-2 tensor, got order {D.order}")
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    keys, weights = D.sampled_entries()
-    A = np.zeros((D.size, D.size))
-    if weights.size:
-        i, j = keys.T
-        aff = _affinities(weights)
-        A[i, j] = aff
-        A[j, i] = aff
+    A = _clique(D.size, *D.sampled_entries())
     return _spectral_labels(A, A.sum(axis=1), A > 0.0, k, rng, random_walk=True)
 
 
 def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = len(points)
     centers = [points[int(rng.integers(n))]]
+    # squared distance to the nearest center so far
+    d2 = np.full(n, np.inf)
     for _ in range(k - 1):
-        d2 = np.min(
-            ((points[:, None, :] - np.array(centers)[None, :, :]) ** 2).sum(axis=2),
-            axis=1,
-        )
+        d2 = np.minimum(d2, ((points - centers[-1]) ** 2).sum(axis=1))
         total = float(d2.sum())
         if total <= 0.0:
             idx = int(rng.integers(n))

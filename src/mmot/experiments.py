@@ -48,6 +48,7 @@ from .core import (
 from .graphs import DEFAULT_FAMILIES, Graph, generate, load_graph, perturb, signature
 from .metric_props import (
     DistanceTensor,
+    check_n_metric_cost,
     check_W_tensor,
     inject_violations,
     no_gluing_check,
@@ -366,11 +367,13 @@ def compute_tensor(config: ExperimentConfig,
     else:
         picks = rng.choice(len(universe), size=budget, replace=False)
         chosen = [universe[i] for i in sorted(picks.tolist())]
+    values = np.array([_tuple_distance(config.backend, [dists[i] for i in tup], config.ell)
+                       for tup in chosen])
+    keep = values <= EFFECTIVELY_INFINITE
+    if (values[keep] < 0.0).any():
+        raise ValueError(f"value must be finite and nonnegative, got {float(values[keep].min())}")
     T = DistanceTensor(order=order, size=n)
-    for tup in chosen:
-        value = _tuple_distance(config.backend, [dists[i] for i in tup], config.ell)
-        if value <= EFFECTIVELY_INFINITE:
-            T.set(tup, value)
+    T.dense[tuple(np.array(chosen).reshape(-1, order)[keep].T)] = values[keep]
     return T, len(chosen)
 
 
@@ -565,10 +568,14 @@ def _verify_gluing() -> str:
 
 
 def _verify_planar() -> str:
-    # the builder solves all four values and raises on a miss of a
-    # closed form or on a margin that is not strictly positive
+    # the builder solves all four values and raises on a miss of a closed form
+    # or a margin not strictly positive; the violation needs a (3,1)-metric cost
     inst = planar_counterexample(0.01)
-    return f"all four transport values exact; violation margin {inst.margin:.4f}"
+    rep = check_n_metric_cost(inst.cost(), inst.points)
+    if not rep.ok:
+        raise AssertionError(f"triangle-area cost is not a (3,1)-metric: {rep.summary()}")
+    return (f"all four transport values exact; violation margin {inst.margin:.4f}; "
+            f"cost a (3,1)-metric, ratio {rep.empirical_C:.6f}")
 
 
 def _verify_hashes() -> str:

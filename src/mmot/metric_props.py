@@ -384,6 +384,14 @@ def check_n_metric_cost(
     return rep
 
 
+def _face_rhs(vals: np.ndarray) -> np.ndarray:
+    """Per subset row, each face column's right-hand side: the others summed left to right."""
+    total = vals[:, 0]
+    for r in range(1, vals.shape[1]):
+        total = total + vals[:, r]
+    return total[:, None] - vals
+
+
 def check_W_tensor(T: DistanceTensor, C: float = 1.0) -> MetricReport:
     """Scan every fully sampled (order+1)-subset for generalized triangle failures.
 
@@ -417,11 +425,7 @@ def check_W_tensor(T: DistanceTensor, C: float = 1.0) -> MetricReport:
         full = ~np.isnan(vals).any(axis=1)
         subsets, vals = subsets[full], vals[full]
         rep.n_checked += vals.size
-        # left to right, as a scalar sum over the roles would add them
-        total = vals[:, 0]
-        for r in range(1, order + 1):
-            total = total + vals[:, r]
-        rhs = total[:, None] - vals
+        rhs = _face_rhs(vals)
         lhs = C * vals
         for s, r in zip(*np.nonzero(lhs > rhs + TRIANGLE_SLACK)):
             rep.triangle = False
@@ -464,8 +468,6 @@ def inject_violations(
     target = math.ceil(fraction * T.n_sampled)
     if target == 0:
         return out
-    # rewrites keep every entry sampled, so one set serves the whole loop
-    sampled = set(map(tuple, out.sampled_entries()[0].tolist()))
     locked: set[tuple[int, ...]] = set(out.modified)
     done = 0
     attempts = 0
@@ -475,24 +477,24 @@ def inject_violations(
         if attempts > max_attempts:
             raise ValueError(
                 f"could not find enough fully sampled 4-subsets "
-                f"(modified {done} of {target})")
+                f"(modified {done} of {target}); sample the tensor with --sampling blocks")
         subset = tuple(sorted(rng.choice(T.size, size=4, replace=False).tolist()))
         triples = list(combinations(subset, 3))
-        if not all(t in sampled for t in triples):
+        # rewrites keep every entry sampled, so the tensor says which subsets are full
+        if any(math.isnan(out.dense[t]) for t in triples):
             continue
-        vals = {t: float(out.dense[t]) for t in triples}
-        total = sum(vals.values())
+        vals = out.dense[tuple(np.array(triples).T)]
         # delta is the raise putting this triple level with the other three;
         # the post-raise margin is (factor-1)*delta, which must beat the
         # slack check_W_tensor grants
-        deltas = {t: (total - vals[t]) - vals[t] for t in triples}
+        deltas = dict(zip(triples, (_face_rhs(vals[None])[0] - vals).tolist()))
         free = [t for t in triples
                 if t not in locked
                 and (factor - 1.0) * deltas[t] > 10.0 * TRIANGLE_SLACK]
         if not free:
             continue
         t_min = min(free, key=lambda t: (deltas[t], t))
-        out.dense[t_min] = vals[t_min] + factor * deltas[t_min]
+        out.dense[t_min] += factor * deltas[t_min]
         out.modified.add(t_min)
         locked.update(triples)
         done += 1

@@ -180,10 +180,7 @@ def _summed_cost(dists: Sequence[DiscreteDistribution], d: PairwiseCost) -> np.n
             raise ValueError(
                 f"cost for pair ({s},{t}) has shape {mat.shape}, expected {(shape[s], shape[t])}"
             )
-        expand = [None] * n
-        expand[s] = slice(None)
-        expand[t] = slice(None)
-        total = total + mat[tuple(expand)]
+        total = total + np.expand_dims(mat, [a for a in range(n) if a not in (s, t)])
     return total
 
 
@@ -235,9 +232,6 @@ def barycenter_mmot(
     # stack base rows per axis and minimize over the meeting point w
     cost = np.zeros(shape + (n_omega,))
     for axis, idx in enumerate(index_maps):
-        expand = [None] * (len(shape) + 1)
-        expand[axis] = slice(None)
-        expand[-1] = slice(None)
-        cost = cost + base[idx][tuple(expand)]
+        cost = cost + np.expand_dims(base[idx], [a for a in range(len(shape)) if a != axis])
     tensor = cost.min(axis=-1)
     return mmot(list(dists), tensor, ell=1)

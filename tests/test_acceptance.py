@@ -42,6 +42,7 @@ from mmot.graphs import signature
 from mmot.hashes import Triple, audit_H, audit_H_prime
 from mmot.metric_props import (
     DistanceTensor,
+    check_n_metric_cost,
     check_W_tensor,
     inject_violations,
     no_gluing_check,
@@ -91,11 +92,14 @@ def test_planar_violation_exact_values():
             v for k, v in inst.w_values.items() if k != (0, 1, 2))
         assert margin > 0.0
         assert inst.margin == pytest.approx(margin, abs=1e-12)
+        # the violation needs a (3,1)-metric ground cost
+        assert check_n_metric_cost(inst.cost(), inst.points).ok
         elapsed = time.monotonic() - started
         assert elapsed < 1.0
         note["detail"] = (
             "values (0.5, 0.125, 0.1275, 0.1275) within 1e-8, "
-            f"violation margin {margin:.4f} > 0, {elapsed:.2f}s")
+            f"violation margin {margin:.4f} > 0, triangle-area cost a (3,1)-metric, "
+            f"{elapsed:.2f}s")
 
 
 def test_gluing_feasibility_split():

@@ -1,5 +1,6 @@
 """Clustering pipeline: hypergraphs, spectral methods, k-means, error metric."""
 
+import re
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -143,14 +144,39 @@ class TestOperatorOracles:
 
     @pytest.mark.parametrize("n,m", [(6, 4), (9, 60), (12, 200), (20, 1000)])
     def test_nhcut_incidence_matches_loop(self, monkeypatch, n, m):
+        off = ~np.eye(n, dtype=bool)
         for seed in range(3):
             h = random_hypergraph(n, m, np.random.default_rng(seed))
+            M, d, support = spectral_inputs(monkeypatch, nhcut, h, 2)
+            # exact: the clique form (A + diag(A 1 / 2)) / 3 of the loop adjacency
+            A = clique_adjacency_oracle(h)
+            half = A.sum(axis=1) / 2.0
+            np.testing.assert_array_equal(M, A / 3.0 + np.diag(half / 3.0), strict=True)
+            np.testing.assert_array_equal(d, half, strict=True)
+            np.testing.assert_array_equal(support, A > 0.0)
+            # the incidence product H diag(w/3) H^T, to a few ulps of its
+            # largest entry, since it sums in another order
             H = incidence_oracle(h)
             w = clustering._affinities(h.weights)
-            M, d, support = spectral_inputs(monkeypatch, nhcut, h, 2)
-            np.testing.assert_array_equal(M, (H * (w / 3.0)[None, :]) @ H.T, strict=True)
-            np.testing.assert_array_equal(d, H @ w)
-            np.testing.assert_array_equal(support, (H @ H.T) > 0.0)
+            inner = (H * (w / 3.0)[None, :]) @ H.T
+            np.testing.assert_allclose(M, inner, rtol=0.0,
+                                       atol=4 * np.spacing(np.abs(inner).max()))
+            np.testing.assert_allclose(d, H @ w, rtol=0.0,
+                                       atol=4 * np.spacing(np.abs(H @ w).max()))
+            np.testing.assert_array_equal(support[off], ((H @ H.T) > 0.0)[off])
+
+    # every vertex lies in some hyperedge, so both Laplacians are defined
+    @pytest.mark.parametrize("n,m", [(9, 60), (12, 200), (20, 1000), (35, 6545)])
+    def test_nhcut_laplacian_is_two_thirds_of_ttm(self, monkeypatch, n, m):
+        def laplacian(M, d):
+            dinv = 1.0 / np.sqrt(d)
+            return np.eye(len(d)) - dinv[:, None] * M * dinv[None, :]
+
+        for seed in range(3):
+            h = random_hypergraph(n, m, np.random.default_rng(seed))
+            L_ttm = laplacian(*spectral_inputs(monkeypatch, ttm, h, 2)[:2])
+            L_nhcut = laplacian(*spectral_inputs(monkeypatch, nhcut, h, 2)[:2])
+            np.testing.assert_allclose(L_nhcut, 2.0 / 3.0 * L_ttm, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("p_sampled", [1.0, 0.6])
     def test_spectral_affinity_matches_loop(self, monkeypatch, p_sampled):
@@ -349,6 +375,12 @@ class TestTTMAndNHCut:
         # vertex 5 appears in no hyperedge
         h = hypergraph(6, (((0, 1, 2), 1.0), ((2, 3, 4), 1.0)))
         with pytest.raises(ValueError, match="5"):
+            method(h, 2, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("method", [ttm, nhcut])
+    def test_no_hyperedges_isolates_every_vertex(self, method):
+        h = Hypergraph3(4, np.zeros((0, 3), int), np.zeros(0))
+        with pytest.raises(ValueError, match=re.escape("isolated vertices: [0, 1, 2, 3]")):
             method(h, 2, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("method", [ttm, nhcut])

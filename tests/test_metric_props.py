@@ -546,6 +546,14 @@ class TestInjectViolations:
             inject_violations(metric_tensor(5), np.random.default_rng(0), fraction=0.2,
                               factor=factor)
 
+    def test_no_full_subset_gives_up_with_hint(self):
+        # one sampled triple: no 4-subset is fully sampled
+        T = DistanceTensor(3, 5)
+        T.set((0, 1, 2), 1.0)
+        with pytest.raises(ValueError, match=r"\(modified 0 of 1\); "
+                                             r"sample the tensor with --sampling blocks$"):
+            inject_violations(T, np.random.default_rng(0), fraction=0.2, factor=1.3)
+
     def test_zero_fraction_is_identity(self):
         T = metric_tensor(5)
         out = inject_violations(T, np.random.default_rng(1), fraction=0.0, factor=1.3)
