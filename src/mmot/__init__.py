@@ -1,27 +1,3 @@
 """Exact multi-marginal optimal transport with generalized-metric audits."""
 
-from importlib import import_module
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "core",
-    "lp",
-    "linalg",
-    "transport",
-    "hashes",
-    "metric_props",
-    "constructions",
-    "graphs",
-    "clustering",
-    "experiments",
-    "cli",
-)
-
-__all__ = list(_SUBMODULES)
-
-
-def __getattr__(name: str):
-    if name in _SUBMODULES:
-        return import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,8 +2,10 @@
 
 The pipeline turns a family-labeled graph corpus into spectral-signature
 distributions, fills a distance tensor under one of four backends, and
-scores clusterers against the known labels.  Every random stream derives
-from the master seed through one documented scheme:
+scores clusterers against the known labels.  `_BACKENDS` is the one table
+of backends: name -> (tensor order, solve of one index tuple returning its
+`TransportResult`).  Every random stream derives from the master seed
+through one documented scheme:
 
     seed(t, u) = master XOR splitmix64(t * GAMMA + u)
 
@@ -48,14 +50,15 @@ from .core import (
 from .graphs import DEFAULT_FAMILIES, Graph, generate, load_graph, perturb, signature
 from .metric_props import (
     DistanceTensor,
+    check_metric,
     check_n_metric_cost,
     check_W_tensor,
     inject_violations,
     no_gluing_check,
 )
 from .transport import (
-    EFFECTIVELY_INFINITE,
     PairwiseCost,
+    TransportResult,
     barycenter_mmot,
     euclidean_cost,
     mmot,
@@ -84,7 +87,37 @@ __all__ = [
     "cmd_verify",
 ]
 
-BACKENDS = ("wd_pairwise", "mmot_pairwise", "mmot_barycenter", "mmot_nonmetric")
+
+# Each solve looks its transport function up in this module at call time, so
+# a wrapper installed on that name sees every tuple solve.
+def _solve_wd_pairwise(ps: Sequence[DiscreteDistribution], ell: int) -> TransportResult:
+    return wasserstein(*ps, euclidean_cost(*ps), ell=ell)
+
+
+def _solve_mmot_pairwise(ps: Sequence[DiscreteDistribution], ell: int) -> TransportResult:
+    pairs = combinations(range(len(ps)), 2)
+    cost = PairwiseCost({(s, t): euclidean_cost(ps[s], ps[t]) for s, t in pairs})
+    return pairwise_mmot(list(ps), cost, ell=ell)
+
+
+def _solve_mmot_barycenter(ps: Sequence[DiscreteDistribution], ell: int) -> TransportResult:
+    omega, _ = distinct_atoms(np.concatenate([p.atoms for p in ps]))
+    base = np.linalg.norm(omega[:, None, :] - omega[None, :, :], axis=2)
+    return barycenter_mmot(list(ps), omega, base)
+
+
+def _solve_mmot_nonmetric(ps: Sequence[DiscreteDistribution], ell: int) -> TransportResult:
+    return mmot(list(ps), triangle_area_cost([p.atoms for p in ps], None), ell=ell)
+
+
+# backend name -> (tensor order, solve(distributions of one tuple, ell))
+_BACKENDS: dict[str, tuple[int, Callable[..., TransportResult]]] = {
+    "wd_pairwise": (2, _solve_wd_pairwise),
+    "mmot_pairwise": (3, _solve_mmot_pairwise),
+    "mmot_barycenter": (3, _solve_mmot_barycenter),
+    "mmot_nonmetric": (3, _solve_mmot_nonmetric),
+}
+BACKENDS = tuple(_BACKENDS)
 CLUSTERERS = ("spectral", "ttm", "nhcut")
 
 # seeded random instances per glue and pair-triangle check of `verify`
@@ -287,25 +320,6 @@ def signature_distribution(values: np.ndarray) -> DiscreteDistribution:
     return DiscreteDistribution(atoms, np.bincount(owners) / len(values))
 
 
-def _tuple_distance(backend: str, ps: Sequence[DiscreteDistribution], ell: int) -> float:
-    if backend == "wd_pairwise":
-        p, q = ps
-        return wasserstein(p, q, euclidean_cost(p, q), ell=ell).value
-    if backend == "mmot_pairwise":
-        cost = PairwiseCost({
-            (s, t): euclidean_cost(ps[s], ps[t]) for s, t in combinations(range(3), 2)
-        })
-        return pairwise_mmot(list(ps), cost, ell=ell).value
-    if backend == "mmot_barycenter":
-        omega, _ = distinct_atoms(np.concatenate([p.atoms for p in ps]))
-        base = np.linalg.norm(omega[:, None, :] - omega[None, :, :], axis=2)
-        return barycenter_mmot(list(ps), omega, base).value
-    if backend == "mmot_nonmetric":
-        return mmot(list(ps), triangle_area_cost([p.atoms for p in ps], None),
-                    ell=ell).value
-    raise ValueError(f"unknown backend {backend!r}")
-
-
 def _blocked_triples(n: int, budget: int, rng: np.random.Generator) -> list[tuple[int, ...]]:
     """Triples grouped into complete 4-subsets, covering every object first.
 
@@ -351,9 +365,9 @@ def compute_tensor(config: ExperimentConfig,
                    dists: Sequence[DiscreteDistribution]) -> tuple[DistanceTensor, int]:
     """Fill a distance tensor over seeded sampled index tuples; also count the solves.
 
-    A blocked instance (value above EFFECTIVELY_INFINITE) stays unsampled.
+    Only a tuple's value and verdict outlive its solve; a blocked one stays unsampled.
     """
-    order = 2 if config.backend == "wd_pairwise" else 3
+    order, solve = _BACKENDS[config.backend]
     budget = config.pairs_budget if order == 2 else config.triples_budget
     n = len(dists)
     if n < order:
@@ -367,9 +381,11 @@ def compute_tensor(config: ExperimentConfig,
     else:
         picks = rng.choice(len(universe), size=budget, replace=False)
         chosen = [universe[i] for i in sorted(picks.tolist())]
-    values = np.array([_tuple_distance(config.backend, [dists[i] for i in tup], config.ell)
-                       for tup in chosen])
-    keep = values <= EFFECTIVELY_INFINITE
+    values = np.empty(len(chosen))
+    keep = np.empty(len(chosen), dtype=bool)
+    for t, tup in enumerate(chosen):
+        res = solve([dists[i] for i in tup], config.ell)
+        values[t], keep[t] = res.value, not res.effectively_infinite
     if (values[keep] < 0.0).any():
         raise ValueError(f"value must be finite and nonnegative, got {float(values[keep].min())}")
     T = DistanceTensor(order=order, size=n)
@@ -647,6 +663,9 @@ def _verify_triangle() -> str:
 
 def _verify_collinear() -> str:
     dists, cost = collinear_instance(4, 3)
+    premise = check_metric(cost, [p.atoms for p in dists])  # the theorem's premise
+    if not premise.ok:
+        raise AssertionError(f"collinear pair costs are not a metric: {premise.summary()}")
     T = DistanceTensor(4, 5)
     for subset in combinations(range(5), 4):
         sub_cost = PairwiseCost({
@@ -657,7 +676,8 @@ def _verify_collinear() -> str:
     emp_c = check_W_tensor(T).empirical_C
     if emp_c > 3.0 + 1e-6 or abs(emp_c - 3.0) > 1e-3:
         raise AssertionError(f"collinear ratio {emp_c}, expected 3")
-    return f"collinear family attains the leave-one-out ratio bound ({emp_c:g})"
+    return (f"pair costs a metric ({premise.n_checked} checks); collinear family "
+            f"attains the leave-one-out ratio bound ({emp_c:g})")
 
 
 _VERIFY_CHECKS = (

@@ -10,7 +10,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .linalg import eig_general
+from .core import MAX_ENTRIES
+from .linalg import check_dim, eig_general
 
 __all__ = [
     "Graph",
@@ -206,16 +207,11 @@ def nonbacktracking_matrix(g: Graph) -> np.ndarray:
     Weights do not enter the incidence: a double edge walks like a
     single one.
     """
-    directed = [(u, v) for u in range(g.n) for v in range(g.n) if g.adj[u, v] > 0]
-    if not directed:
+    u, v = np.nonzero(g.adj > 0)  # directed edges in row-major order
+    if not u.size:
         raise ValueError("graph has no edges")
-    index = {e: i for i, e in enumerate(directed)}
-    m = np.zeros((len(directed), len(directed)))
-    for (u, v), row in index.items():
-        for y in np.nonzero(g.adj[v])[0]:
-            if y != u:
-                m[row, index[(v, int(y))]] = 1.0
-    return m
+    check_dim(u.size)
+    return ((v[:, None] == u[None, :]) & (v[None, :] != u[:, None])).astype(float)
 
 
 def signature(g: Graph, top_k: int) -> np.ndarray:
@@ -249,6 +245,9 @@ def load_graph(path: str) -> Graph:
                 raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
             if u < 0 or v < 0:
                 raise ValueError(f"{path}:{lineno}: negative node id")
+            if (max(u, v) + 1) ** 2 > MAX_ENTRIES:
+                raise ValueError(f"{path}:{lineno}: node id {max(u, v)} needs an adjacency "
+                                 f"over the cap of {MAX_ENTRIES} cells")
             if w not in (1, 2):
                 raise ValueError(f"{path}:{lineno}: weight must be 1 or 2, got {w}")
             key = (min(u, v), max(u, v))

@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MAX_DIM", "eig_general", "eig_symmetric", "sort_complex_spectrum"]
+__all__ = ["MAX_DIM", "check_dim", "eig_general", "eig_symmetric", "sort_complex_spectrum"]
 
 MAX_DIM = 2000
 SYMMETRY_TOL = 1e-9
+
+
+def check_dim(n: int) -> None:
+    """Refuse a matrix dimension over MAX_DIM; callers check before allocating."""
+    if n > MAX_DIM:
+        raise ValueError(f"dimension {n} exceeds the supported cap {MAX_DIM}")
 
 
 def sort_complex_spectrum(values: np.ndarray) -> np.ndarray:
@@ -32,8 +38,7 @@ def eig_general(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds the supported cap {MAX_DIM}")
+    check_dim(m.shape[0])
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN or infinite entries")
     try:

@@ -13,7 +13,7 @@ import pytest
 
 from mmot.constructions import triangle_area_cost
 from mmot.core import ATOM_TOL, DiscreteDistribution, distinct_atoms, same_atoms
-from mmot.experiments import _tuple_distance, signature_distribution
+from mmot.experiments import _BACKENDS, signature_distribution
 from mmot.graphs import complete, cycle, grid2d_periodic, signature
 from mmot.metric_props import check_metric, check_n_metric_cost
 from mmot.transport import _omega_index, barycenter_mmot
@@ -190,7 +190,8 @@ class TestOmega:
             omega = oracle.omega_union([p.atoms for p in ps])
             base = np.linalg.norm(omega[:, None, :] - omega[None, :, :], axis=2)
             want = barycenter_mmot(ps, omega, base).value
-            assert _tuple_distance("mmot_barycenter", ps, 1) == want
+            _, solve = _BACKENDS["mmot_barycenter"]
+            assert solve(ps, 1).value == want
 
 
 class TestTriangleAreaCost:

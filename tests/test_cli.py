@@ -146,6 +146,18 @@ class TestVerify:
         assert all(l.startswith("PASS") for l in lines)
 
 
+def test_huge_node_id_exits_2_naming_its_line(tmp_path, capsys):
+    graph_dir = tmp_path / "graphs"
+    graph_dir.mkdir()
+    (graph_dir / "g0.csv").write_text("0,1,1\n1,5000000,1\n")
+    rc, out, err = run(["distances", "--seed", "1", "--input-dir", str(graph_dir),
+                        "--out-dir", str(tmp_path / "out")], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {graph_dir / 'g0.csv'}:2: node id 5000000 ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture()
 def small_cfg(tmp_path):
     cfg = tmp_path / "run.cfg"

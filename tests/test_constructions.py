@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmot.constructions import collinear_instance, planar_counterexample, triangle_area_cost
+from mmot.metric_props import check_metric
 from mmot.transport import mmot, pairwise_mmot
 
 from atom_oracle import as_atoms
@@ -118,6 +119,14 @@ class TestCollinearInstance:
         # near spaces coincide, the far space is 100 away at every rank
         np.testing.assert_allclose(np.diag(d.get(0, 1)), 0.0)
         np.testing.assert_allclose(np.diag(d.get(0, 4)), 100.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_pair_costs_are_a_metric(self, n):
+        # the theorem's premise, which `mmot verify` also checks at n = 4
+        dists, d = collinear_instance(n, 3)
+        rep = check_metric(d, [p.atoms for p in dists])
+        assert rep.ok, rep.summary()
+        assert rep.n_checked > 0
 
     def test_leave_one_out_ratio_is_exactly_three_at_n4(self):
         from itertools import combinations

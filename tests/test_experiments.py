@@ -5,6 +5,7 @@ import importlib
 import json
 import pkgutil
 import typing
+import weakref
 from itertools import combinations
 
 import numpy as np
@@ -28,7 +29,16 @@ from mmot.cli import main
 from mmot.clustering import ClusteringSolution, tune_threshold
 from mmot.graphs import complete, cycle, save_graph, signature
 from mmot.metric_props import DistanceTensor, check_W_tensor
-from mmot.transport import EFFECTIVELY_INFINITE, SENTINEL_COST
+from mmot.transport import (
+    EFFECTIVELY_INFINITE,
+    SENTINEL_COST,
+    PairwiseCost,
+    TransportResult,
+    euclidean_cost,
+    pairwise_mmot,
+)
+
+import backend_oracle
 
 
 class TestSeeds:
@@ -225,19 +235,74 @@ class TestComputeTensor:
         assert a.values == b.values
 
 
+class TestBackendTable:
+    @pytest.mark.parametrize("backend, ell", [(b, 1) for b in experiments.BACKENDS]
+                             + [("mmot_nonmetric", 2)])
+    def test_tensor_matches_the_switch_it_replaced(self, backend, ell):
+        cfg = ExperimentConfig(seed=4, families=("cycle", "complete", "hypercube"),
+                               graphs_per_family=2, top_k=4, backend=backend, ell=ell,
+                               pairs_budget=100, triples_budget=100)
+        dists = [signature_distribution(signature(g.graph, top_k=cfg.top_k))
+                 for g in build_corpus(cfg)]
+        T, solves = compute_tensor(cfg, dists)
+        order = backend_oracle.order(backend)
+        assert T.order == experiments._BACKENDS[backend][0] == order
+        assert solves == len(list(combinations(range(6), order)))
+        for tup in combinations(range(6), order):
+            want = backend_oracle.tuple_distance(backend, [dists[i] for i in tup], ell)
+            if want > EFFECTIVELY_INFINITE:
+                assert np.isnan(T.dense[tup])
+            else:
+                assert T.dense[tup] == want
+
+    def test_pairwise_entry_costs_every_pair_of_four(self):
+        ps = [signature_distribution(signature(g, top_k=4))
+              for g in (cycle(5), cycle(7), complete(4), complete(5))]
+        _, solve = experiments._BACKENDS["mmot_pairwise"]
+        got = solve(ps, 1)
+        cost = PairwiseCost({(s, t): euclidean_cost(ps[s], ps[t])
+                             for s, t in combinations(range(4), 2)})
+        want = pairwise_mmot(ps, cost)
+        assert len(got.per_pair_terms) == 6
+        assert got.value == want.value
+        assert got.per_pair_terms == want.per_pair_terms
+
+
+    def test_no_result_outlives_the_next_solve(self, monkeypatch):
+        cfg = ExperimentConfig(seed=4, families=("cycle", "complete"), graphs_per_family=3,
+                               top_k=4, backend="mmot_pairwise", triples_budget=100)
+        order, real = experiments._BACKENDS["mmot_pairwise"]
+        refs = []
+
+        def tracked(ps, ell):
+            # the previous tuple's result may still be bound, no older one
+            assert sum(ref() is not None for ref in refs) <= 1
+            res = real(ps, ell)
+            refs.append(weakref.ref(res))
+            return res
+
+        monkeypatch.setitem(experiments._BACKENDS, "mmot_pairwise", (order, tracked))
+        dists = [signature_distribution(signature(g.graph, top_k=cfg.top_k))
+                 for g in build_corpus(cfg)]
+        T, solves = compute_tensor(cfg, dists)
+        assert solves == len(refs) == T.n_sampled == 20
+        assert all(ref() is None for ref in refs)
+
+
 def test_blocked_tuple_is_not_a_distance(tmp_path, monkeypatch):
     cfg = ExperimentConfig(seed=5, families=("cycle", "complete", "hypercube"),
                            graphs_per_family=2, top_k=4, backend="mmot_pairwise",
                            triples_budget=20, out_dir=str(tmp_path))
-    real = experiments._tuple_distance
+    order, real = experiments._BACKENDS["mmot_pairwise"]
     calls = []
 
-    def blocked_first(backend, ps, ell):
+    def blocked_first(ps, ell):
         # tuples are solved in increasing order, so the first is (0, 1, 2)
         calls.append(ps)
-        return SENTINEL_COST if len(calls) == 1 else real(backend, ps, ell)
+        res = real(ps, ell)
+        return TransportResult(SENTINEL_COST, res.coupling) if len(calls) == 1 else res
 
-    monkeypatch.setattr(experiments, "_tuple_distance", blocked_first)
+    monkeypatch.setitem(experiments._BACKENDS, "mmot_pairwise", (order, blocked_first))
     cmd_distances(cfg)
     meta = json.loads((tmp_path / "distances_mmot_pairwise.json").read_text())
     assert meta["transport_solves"] == 20

@@ -1,5 +1,7 @@
 """Graph families, perturbation, non-backtracking spectra, file round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from mmot.graphs import (
     save_graph,
     signature,
 )
+from mmot import graphs
 from mmot.linalg import eig_general
 
 
@@ -136,7 +139,32 @@ class TestPrune:
             prune_min_degree(Graph(np.zeros((3, 3), dtype=int)))
 
 
+def nonbacktracking_oracle(g):
+    """The edge loop the vectorized build replaced: index, then walk each edge."""
+    directed = [(u, v) for u in range(g.n) for v in range(g.n) if g.adj[u, v] > 0]
+    index = {e: i for i, e in enumerate(directed)}
+    m = np.zeros((len(directed), len(directed)))
+    for (u, v), row in index.items():
+        for y in np.nonzero(g.adj[v])[0]:
+            if y != u:
+                m[row, index[(v, int(y))]] = 1.0
+    return m
+
+
 class TestNonbacktracking:
+    def test_matches_the_edge_loop(self):
+        rng = np.random.default_rng(21)
+        for family, params in DEFAULT_FAMILIES.items():
+            base = generate(family, params, rng)
+            for g in (base, perturb(base, 0.1, rng=rng)):
+                # random symmetric weights 1 and 2 on the same edges: weights do not enter
+                w = np.triu(rng.integers(1, 3, size=g.adj.shape), 1)
+                reweighted = Graph(np.where(g.adj > 0, w + w.T, 0))
+                want = nonbacktracking_oracle(g)
+                for h in (g, reweighted):
+                    got = nonbacktracking_matrix(h)
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_triangle_spectrum_is_cube_roots_doubled(self):
         B = nonbacktracking_matrix(cycle(3))
         assert B.shape == (6, 6)
@@ -180,6 +208,18 @@ class TestNonbacktracking:
         with pytest.raises(ValueError):
             nonbacktracking_matrix(Graph(np.zeros((3, 3), dtype=int)))
 
+    def test_past_the_dimension_cap_is_refused_before_allocating(self):
+        g = complete(50)  # 2,450 directed edges: a 48 MB dense matrix
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError,
+                               match="dimension 2450 exceeds the supported cap 2000"):
+                signature(g, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
 
 class TestSignature:
     def test_truncates_to_top_k(self):
@@ -202,6 +242,22 @@ class TestFileRoundTrip:
         p = tmp_path / "g.csv"
         save_graph(g, str(p))
         assert load_graph(str(p)) == g
+
+    def test_node_id_past_the_cap_is_refused_at_its_line(self, tmp_path):
+        # 3163 x 3163 cells pass core.MAX_ENTRIES (10^7); 3162 x 3162 do not
+        p = tmp_path / "big.csv"
+        p.write_text("0,1,1\n1,3162,1\n")
+        with pytest.raises(ValueError, match=r"big\.csv:2: node id 3162 .* 10000000 cells"):
+            load_graph(str(p))
+
+    def test_cap_counts_the_cells_of_the_adjacency(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graphs, "MAX_ENTRIES", 100)
+        p = tmp_path / "g.csv"
+        p.write_text("0,9,1\n")
+        assert load_graph(str(p)).n == 10
+        p.write_text("0,9,1\n10,0,1\n")
+        with pytest.raises(ValueError, match=r"g\.csv:2: node id 10 "):
+            load_graph(str(p))
 
     def test_parse_errors_carry_line_numbers(self, tmp_path):
         p = tmp_path / "bad.csv"
