@@ -8,12 +8,12 @@ attains the extreme value n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .core import DiscreteDistribution, same_atoms
+from .metric_props import check_n_metric_cost
 from .transport import SENTINEL_COST, PairwiseCost, mmot
 
 __all__ = [
@@ -82,27 +82,18 @@ class PlanarInstance:
         return triangle_area_cost([self.points] * 3, self.gamma)
 
 
-def _check_geometry(coords: list[tuple], gamma: float) -> None:
-    for a, b in combinations(range(len(coords)), 2):
-        if np.hypot(coords[a][0] - coords[b][0], coords[a][1] - coords[b][1]) < 1e-12:
-            raise RuntimeError(f"points {a} and {b} coincide")
-    c = np.array(coords)
-    areas = _areas(c, c, c)
-    min_area = min(areas[t] for t in combinations(range(len(coords)), 3))
-    if min_area < 1e-12:
-        raise RuntimeError("three of the points are collinear")
-    if gamma > min_area + 1e-12:
-        raise RuntimeError(f"gamma {gamma} exceeds the smallest area {min_area}")
-
-
 def planar_counterexample(epsilon: float) -> PlanarInstance:
     """Planar instance whose transport values violate the C=1 bound.
 
     The first two distributions are opposite singletons, the third and
     fourth are uniform pairs straddling them; the layout is chosen so the
     four three-way values come out at 1/2, 1/8, 1/8+eps/4, 1/8+eps/4.
-    Build-time validation recomputes all four by LP and refuses to return
-    a geometry that misses any closed form.
+    Before any LP the triangle-area cost is audited as a (3,1)-metric
+    with `check_n_metric_cost`; a layout that fails it raises ValueError.
+    An epsilon below about 4e-12 fails, because gamma = eps/4 then falls
+    under the audit's zero tolerance.  Build-time validation then
+    recomputes all four values by LP and refuses to return a geometry
+    that misses any closed form.
     """
     if not 0.0 < epsilon <= 0.1:
         raise ValueError(f"epsilon must be in (0, 0.1], got {epsilon}")
@@ -116,9 +107,14 @@ def planar_counterexample(epsilon: float) -> PlanarInstance:
         (e, e - 0.25),
         (0.75 - e, 1.0 - e),
     ]
-    _check_geometry(pts, gamma)
     points = np.array(pts)
     points.setflags(write=False)
+    # the violation below is a counterexample only if the cost is a (3,1)-metric
+    cost = triangle_area_cost([points] * 3, gamma)
+    premise = check_n_metric_cost(cost, points)
+    if not premise.ok:
+        raise ValueError(f"epsilon {e!r}: triangle-area cost is not a (3,1)-metric: "
+                         f"{premise.summary()}")
     idx = ((0,), (1,), (2, 3), (4, 5))
     dists = tuple(
         DiscreteDistribution(points[list(ix)], np.ones(len(ix)) / len(ix))
@@ -130,7 +126,6 @@ def planar_counterexample(epsilon: float) -> PlanarInstance:
         (0, 2, 3): 0.125 + e / 4.0,
         (1, 2, 3): 0.125 + e / 4.0,
     }
-    cost = triangle_area_cost([points] * 3, gamma)
     w_values: dict[tuple[int, ...], float] = {}
     for trip, want in expected.items():
         sub = cost[np.ix_(*(idx[t] for t in trip))]

@@ -584,12 +584,11 @@ def _verify_gluing() -> str:
 
 
 def _verify_planar() -> str:
-    # the builder solves all four values and raises on a miss of a closed form
-    # or a margin not strictly positive; the violation needs a (3,1)-metric cost
+    # the builder audits its cost as a (3,1)-metric, solves all four values
+    # and raises on a failed audit, a miss of a closed form or a margin not
+    # strictly positive
     inst = planar_counterexample(0.01)
     rep = check_n_metric_cost(inst.cost(), inst.points)
-    if not rep.ok:
-        raise AssertionError(f"triangle-area cost is not a (3,1)-metric: {rep.summary()}")
     return (f"all four transport values exact; violation margin {inst.margin:.4f}; "
             f"cost a (3,1)-metric, ratio {rep.empirical_C:.6f}")
 

@@ -239,29 +239,6 @@ class MetricReport:
         return f"{self.n_checked} checks, {status}{c}"
 
 
-class _PairView:
-    """Uniform pair lookup over a PairwiseCost or a raw pair->matrix dict.
-
-    Raw dicts are accepted so the audit can run on data the strict
-    container would reject (that rejection is itself what gets audited).
-    """
-
-    def __init__(self, d: PairwiseCost | Mapping[tuple, np.ndarray]):
-        if isinstance(d, PairwiseCost):
-            self._raw = {key: d.get(*key) for key in d.pairs}
-        else:
-            self._raw = {tuple(k): np.asarray(v, dtype=float) for k, v in d.items()}
-        self.pairs = {tuple(sorted(k)) for k in self._raw}
-
-    def get(self, i: int, j: int) -> np.ndarray:
-        if (i, j) in self._raw:
-            return self._raw[(i, j)]
-        return self._raw[(j, i)].T
-
-    def stored_both_ways(self, i: int, j: int) -> bool:
-        return (i, j) in self._raw and (j, i) in self._raw
-
-
 def check_metric(
     d: PairwiseCost | Mapping[tuple, np.ndarray],
     atoms: Sequence[np.ndarray],
@@ -269,12 +246,22 @@ def check_metric(
     """Exhaustively audit nonnegativity, symmetry, identity, triangle.
 
     `atoms[i]` is the support of space i; the matrix of pair (i, j) is
-    over the atoms of space i by those of space j.
+    over the atoms of space i by those of space j.  A raw pair->matrix
+    dict is accepted so the audit can run on data the strict container
+    would reject (that rejection is itself what gets audited).
     """
+    if isinstance(d, PairwiseCost):
+        raw = {key: d.get(*key) for key in d.pairs}
+    else:
+        raw = {tuple(k): np.asarray(v, dtype=float) for k, v in d.items()}
+
+    def get(i: int, j: int) -> np.ndarray:
+        return raw[(i, j)] if (i, j) in raw else raw[(j, i)].T
+
+    present = {tuple(sorted(k)) for k in raw}
     rep = MetricReport(nonnegative=True, identity=True, symmetric=True, triangle=True)
-    view = _PairView(d)
-    for (i, j) in sorted(view.pairs):
-        m = view.get(i, j)
+    for (i, j) in sorted(present):
+        m = get(i, j)
         rep.n_checked += m.size
         neg = np.argwhere(m < 0)
         for s, t in neg:
@@ -282,15 +269,11 @@ def check_metric(
             rep.violations.append({"kind": "nonnegativity",
                                    "where": [i, j, int(s), int(t)],
                                    "margin": float(m[s, t])})
-        if i == j and not np.allclose(m, m.T, rtol=0.0, atol=ZERO_TOL):
+        # a matrix stored both ways, a self-pair included, must equal its own transpose
+        if ((i, j) in raw and (j, i) in raw
+                and not np.allclose(m, raw[(j, i)].T, rtol=0.0, atol=ZERO_TOL)):
             rep.symmetric = False
             rep.violations.append({"kind": "symmetry", "where": [i, j], "margin": 0.0})
-        if i != j and view.stored_both_ways(i, j):
-            if not np.allclose(view.get(i, j), view.get(j, i).T,
-                               rtol=0.0, atol=ZERO_TOL):
-                rep.symmetric = False
-                rep.violations.append({"kind": "symmetry", "where": [i, j],
-                                       "margin": 0.0})
         same = same_atoms(atoms[i], atoms[j])
         if same.shape != m.shape:
             raise ValueError(f"cost for pair ({i},{j}) has shape {m.shape}, "
@@ -300,31 +283,26 @@ def check_metric(
             rep.violations.append({"kind": "identity",
                                    "where": [i, j, int(s), int(t)],
                                    "margin": float(m[s, t])})
-    present = view.pairs
-    n_spaces = len(atoms)
-    for i in range(n_spaces):
-        for j in range(n_spaces):
-            if tuple(sorted((i, j))) not in present or i == j:
-                continue
-            for k in range(n_spaces):
-                if k in (i, j):
-                    continue
-                if (tuple(sorted((i, k))) not in present
-                        or tuple(sorted((k, j))) not in present):
-                    continue
-                a = view.get(i, j)
-                b = view.get(i, k)
-                c = view.get(k, j)
-                # min-plus product: cheapest detour through space k
-                detour = (b[:, :, None] + c[None, :, :]).min(axis=1)
-                rep.n_checked += a.size
-                bad = np.argwhere(a > detour + TRIANGLE_SLACK)
-                for s, t in bad:
-                    rep.triangle = False
-                    rep.violations.append({"kind": "triangle",
-                                           "where": [i, j, k, int(s), int(t)],
-                                           "margin": float(a[s, t] - detour[s, t])})
+    for i, j, k in permutations(range(len(atoms)), 3):
+        if not all(tuple(sorted(p)) in present for p in ((i, j), (i, k), (k, j))):
+            continue
+        a = get(i, j)
+        # min-plus product: cheapest detour through space k
+        detour = (get(i, k)[:, :, None] + get(k, j)[None, :, :]).min(axis=1)
+        rep.n_checked += a.size
+        bad = np.argwhere(a > detour + TRIANGLE_SLACK)
+        for s, t in bad:
+            rep.triangle = False
+            rep.violations.append({"kind": "triangle",
+                                   "where": [i, j, k, int(s), int(t)],
+                                   "margin": float(a[s, t] - detour[s, t])})
     return rep
+
+
+def _check_bound(C: float) -> None:
+    # NaN compares false and a bound with C <= 0 always holds: either passes every audit
+    if not (math.isfinite(C) and C > 0):
+        raise ValueError(f"C must be finite and positive, got {C}")
 
 
 def check_n_metric_cost(
@@ -337,6 +315,7 @@ def check_n_metric_cost(
     `cost` is an n-way array over one common support; the generalized
     triangle inequality is scanned over every (n+1)-tuple of indices.
     """
+    _check_bound(C)
     cost = np.asarray(cost, dtype=float)
     n = cost.ndim
     m = len(atoms)
@@ -403,6 +382,7 @@ def check_W_tensor(T: DistanceTensor, C: float = 1.0) -> MetricReport:
     straight from the tensor's dense array, one block per smallest index,
     so the scan holds one block at a time.
     """
+    _check_bound(C)
     rep = MetricReport(nonnegative=True, symmetric=True, triangle=True)
     dense = T.dense
     # NaN (unsampled) compares false
@@ -494,7 +474,11 @@ def inject_violations(
         if not free:
             continue
         t_min = min(free, key=lambda t: (deltas[t], t))
-        out.dense[t_min] += factor * deltas[t_min]
+        raised = out.dense[t_min] + factor * deltas[t_min]
+        if not math.isfinite(raised):
+            raise ValueError(f"raising triple {t_min} by factor {factor} "
+                             f"gives {raised}, not a finite value")
+        out.dense[t_min] = raised
         out.modified.add(t_min)
         locked.update(triples)
         done += 1

@@ -15,7 +15,8 @@ import numpy as np
 
 from mmot.constructions import _areas
 from mmot.core import ATOM_TOL
-from mmot.metric_props import TRIANGLE_SLACK, ZERO_TOL, MetricReport, _PairView
+from mmot.metric_props import TRIANGLE_SLACK, ZERO_TOL, MetricReport
+from mmot.transport import PairwiseCost
 
 
 @dataclass(frozen=True)
@@ -156,11 +157,31 @@ def triangle_area_cost(supports, gamma: float | None) -> np.ndarray:
     return np.where(n_eq == 3, 0.0, cost)
 
 
+class PairView:
+    """Pair lookup over a PairwiseCost or a raw pair->matrix dict, kept apart
+    from the lookup `check_metric` builds so the oracle shares none of it."""
+
+    def __init__(self, d):
+        if isinstance(d, PairwiseCost):
+            self._raw = {key: d.get(*key) for key in d.pairs}
+        else:
+            self._raw = {tuple(k): np.asarray(v, dtype=float) for k, v in d.items()}
+        self.pairs = {tuple(sorted(k)) for k in self._raw}
+
+    def get(self, i: int, j: int) -> np.ndarray:
+        if (i, j) in self._raw:
+            return self._raw[(i, j)]
+        return self._raw[(j, i)].T
+
+    def stored_both_ways(self, i: int, j: int) -> bool:
+        return (i, j) in self._raw and (j, i) in self._raw
+
+
 def check_metric(d, supports) -> MetricReport:
     """The pairwise metric audit with its cell-by-cell identity loop."""
     atoms = [as_atoms(s) for s in supports]
     rep = MetricReport(nonnegative=True, identity=True, symmetric=True, triangle=True)
-    view = _PairView(d)
+    view = PairView(d)
     for (i, j) in sorted(view.pairs):
         m = view.get(i, j)
         rep.n_checked += m.size

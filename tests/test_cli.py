@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 
@@ -76,6 +77,13 @@ class TestConstructionsPlanar:
         rc, _, err = run(["constructions", "planar", "--epsilon", "0.5"], capsys)
         assert rc == 2
         assert "error:" in err
+
+    def test_epsilon_failing_the_premise_audit_exits_2(self, capsys):
+        rc, out, err = run(["constructions", "planar", "--epsilon", "1e-13"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: epsilon 1e-13: triangle-area cost is not a (3,1)-metric")
+        assert err.count("\n") == 1
 
 
 class TestGraphsGen:
@@ -286,6 +294,19 @@ class TestExperimentCommands:
                          capsys)
         assert rc == 2
         assert "factor must be finite" in err
+        assert not out.exists() and not report.exists()
+
+    def test_inject_refuses_a_raise_past_the_float_range(self, tmp_path, capsys):
+        tensor = tmp_path / "six.csv"
+        tensor.write_text("".join(f"{i},{j},{k},{1.0 + 0.1 * (i + j + k)!r},1\n"
+                                  for i, j, k in combinations(range(6), 3)))
+        out, report = tmp_path / "inj.csv", tmp_path / "inj.json"
+        rc, _, err = run(["inject", "--seed", "5", "--tensor", str(tensor),
+                          "--factor", "1e308", "--out", str(out), "--report", str(report)],
+                         capsys)
+        assert rc == 2
+        assert err.startswith("error: raising triple (")
+        assert "not a finite value" in err
         assert not out.exists() and not report.exists()
 
 

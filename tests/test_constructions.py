@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmot.constructions import collinear_instance, planar_counterexample, triangle_area_cost
-from mmot.metric_props import check_metric
+from mmot.metric_props import check_metric, check_n_metric_cost
 from mmot.transport import mmot, pairwise_mmot
 
 from atom_oracle import as_atoms
@@ -105,6 +105,19 @@ class TestPlanarCounterexample:
             planar_counterexample(0.0)
         with pytest.raises(ValueError):
             planar_counterexample(0.2)
+
+    def test_cost_failing_the_premise_audit_is_refused(self):
+        # gamma = 7.5e-13 falls under the audit's zero tolerance, so the
+        # coincidence cells read as zero and the identity property fails
+        with pytest.raises(ValueError, match=r"^epsilon 3e-12: triangle-area cost is "
+                                             r"not a \(3,1\)-metric: 1512 checks, FAILED"):
+            planar_counterexample(3e-12)
+
+    @pytest.mark.parametrize("eps", [4.1e-12, 0.01])
+    def test_built_cost_passes_the_premise_audit(self, eps):
+        inst = planar_counterexample(eps)
+        assert check_n_metric_cost(inst.cost(), inst.points).ok
+        assert inst.margin > 0
 
     def test_distribution_shapes(self):
         inst = planar_counterexample(0.05)

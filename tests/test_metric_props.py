@@ -23,6 +23,7 @@ from mmot.cli import main
 from mmot.constructions import collinear_instance
 from mmot.transport import SENTINEL_COST, PairwiseCost, euclidean_cost, pairwise_mmot
 
+import atom_oracle
 from dict_tensor import (
     DictTensor,
     SEVENTEEN_DIGITS,
@@ -273,6 +274,16 @@ class TestCheckMetric:
         rep = check_metric(d, supports)
         assert not rep.triangle
 
+    def test_pair_stored_both_ways_must_agree(self):
+        d, supports = self.metric_inputs()
+        d[(1, 0)] = d[(0, 1)].T.copy()
+        assert check_metric(d, supports).ok
+        d[(1, 0)][0, 1] += 0.5
+        rep = check_metric(d, supports)
+        assert rep == atom_oracle.check_metric(d, supports)
+        assert rep.symmetric is False
+        assert {"kind": "symmetry", "where": [0, 1], "margin": 0.0} in rep.violations
+
 
 class TestCheckNMetricCost:
     def test_area_like_cost_passes_symmetry(self):
@@ -492,6 +503,16 @@ class TestCheckWTensor:
         assert rep.empirical_C is None
         assert rep.triangle and not rep.violations
 
+    @pytest.mark.parametrize("C", [math.nan, math.inf, 0.0, -1.0])
+    def test_vacuous_bound_is_refused(self, C):
+        # a bound with C NaN or C <= 0 holds on every tensor, violations included
+        T = metric_tensor(5)
+        T.dense[0, 1, 2] = 100.0
+        with pytest.raises(ValueError, match="C must be finite and positive"):
+            check_W_tensor(T, C=C)
+        with pytest.raises(ValueError, match="C must be finite and positive"):
+            check_n_metric_cost(np.zeros((2, 2)), np.array([0.0, 1.0]), C=C)
+
     def test_negative_sampled_value_flagged(self):
         T = metric_tensor(5)
         assert check_W_tensor(T).nonnegative
@@ -545,6 +566,12 @@ class TestInjectViolations:
         with pytest.raises(ValueError, match="factor must be finite"):
             inject_violations(metric_tensor(5), np.random.default_rng(0), fraction=0.2,
                               factor=factor)
+
+    def test_raise_to_a_non_finite_value_is_refused(self):
+        T = metric_tensor(6)
+        with pytest.raises(ValueError, match=r"^raising triple \(\d+, \d+, \d+\) by "
+                                             r"factor 1e\+308 gives inf, not a finite value$"):
+            inject_violations(T, np.random.default_rng(0), fraction=0.2, factor=1e308)
 
     def test_no_full_subset_gives_up_with_hint(self):
         # one sampled triple: no 4-subset is fully sampled
