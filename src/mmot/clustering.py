@@ -191,50 +191,92 @@ def spectral_cluster(D: DistanceTensor, k: int, rng: np.random.Generator) -> Clu
     return _spectral_labels(A, A.sum(axis=1), A > 0.0, k, rng, random_walk=True)
 
 
-def _kmeanspp_seed(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """The (KMEANS_RESTARTS, k) k-means++ seed indices, drawn restart by restart."""
     n = len(points)
-    centers = [points[int(rng.integers(n))]]
-    # squared distance to the nearest center so far
-    d2 = np.full(n, np.inf)
-    for _ in range(k - 1):
-        d2 = np.minimum(d2, ((points - centers[-1]) ** 2).sum(axis=1))
-        total = float(d2.sum())
-        if total <= 0.0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
-        centers.append(points[idx])
-    return np.array(centers)
+    # row i: squared distances to point i, summed as ((points - points[i])**2).sum(1) is
+    sqdist = ((points[None, :, :] - points[:, None, :]) ** 2).sum(axis=2)
+    seeds = np.empty((KMEANS_RESTARTS, k), dtype=np.intp)
+    for r in range(KMEANS_RESTARTS):
+        seeds[r, 0] = int(rng.integers(n))
+        # squared distance to the nearest center so far
+        d2 = np.full(n, np.inf)
+        for s in range(1, k):
+            d2 = np.minimum(d2, sqdist[seeds[r, s - 1]])
+            total = float(d2.sum())
+            if total <= 0.0:
+                seeds[r, s] = int(rng.integers(n))
+            else:
+                seeds[r, s] = int(rng.choice(n, p=d2 / total))
+    return seeds
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    n = len(points)
-    labels = np.full(n, -1)
+def _fill_empty(labels: np.ndarray, d2: np.ndarray, k: int) -> None:
+    """Give every empty cluster a point, in place, lowest cluster index first."""
+    dist_own = d2[np.arange(len(labels)), labels]
+    while True:
+        counts = np.bincount(labels, minlength=k)
+        empty = np.nonzero(counts == 0)[0]
+        if empty.size == 0:
+            return
+        # hand the emptiest cluster the worst-fit point from a
+        # cluster that can spare one
+        donors = counts[labels] >= 2
+        far = int(np.nonzero(donors)[0][dist_own[donors].argmax()])
+        labels[far] = int(empty[0])
+        dist_own[far] = 0.0
+
+
+def _means(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """The (restarts, k, d) cluster means of each row of labels, none empty."""
+    restarts, n = labels.shape
+    dim = points.shape[1]
+    if dim == 1:
+        # numpy sums one column pairwise, not point by point
+        return np.array([[points[lab == c].mean(axis=0) for c in range(k)] for lab in labels])
+    group = labels + k * np.arange(restarts)[:, None]
+    counts = np.bincount(group.ravel(), minlength=restarts * k)
+    # bincount adds in input order, so each center sums its points in
+    # index order, as a masked mean of two or more columns does
+    cells = (group[:, :, None] * dim + np.arange(dim)).ravel()
+    sums = np.bincount(cells, weights=np.broadcast_to(points, (restarts, n, dim)).ravel(),
+                       minlength=restarts * k * dim)
+    return sums.reshape(restarts, k, dim) / counts.reshape(restarts, k, 1)
+
+
+def _lloyd(points: np.ndarray, seeds: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iterations of every restart at once; a restart stops when its labels do.
+
+    Returns the (restarts, n) labels and the (restarts,) inertias.
+    """
+    restarts, n = len(seeds), len(points)
+    centers = points[seeds]
+    labels = np.full((restarts, n), -1)
+    live = np.arange(restarts)
     for _ in range(KMEANS_MAX_ITER):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
-        dist_own = d2[np.arange(n), new_labels].copy()
-        while True:
-            counts = np.bincount(new_labels, minlength=k)
-            empty = np.nonzero(counts == 0)[0]
-            if empty.size == 0:
-                break
-            # hand the emptiest cluster the worst-fit point from a
-            # cluster that can spare one
-            donors = counts[new_labels] >= 2
-            far = int(np.nonzero(donors)[0][dist_own[donors].argmax()])
-            new_labels[far] = int(empty[0])
-            dist_own[far] = 0.0
-        if np.array_equal(new_labels, labels):
+        d2 = ((points[None, :, None, :] - centers[live][:, None, :, :]) ** 2).sum(axis=3)
+        new_labels = d2.argmin(axis=2)
+        group = new_labels + k * np.arange(len(live))[:, None]
+        counts = np.bincount(group.ravel(), minlength=len(live) * k).reshape(-1, k)
+        for a in np.nonzero((counts == 0).any(axis=1))[0]:
+            _fill_empty(new_labels[a], d2[a], k)
+        moved = (new_labels != labels[live]).any(axis=1)
+        live, new_labels = live[moved], new_labels[moved]
+        if live.size == 0:
             break
-        labels = new_labels
-        centers = np.array([points[labels == c].mean(axis=0) for c in range(k)])
-    inertia = float(((points - centers[labels]) ** 2).sum())
+        labels[live] = new_labels
+        centers[live] = _means(points, new_labels, k)
+    inertia = np.array([float(((points - centers[r][labels[r]]) ** 2).sum())
+                        for r in range(restarts)])
     return labels, inertia
 
 
 def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> ClusteringSolution:
-    """Lloyd iterations from k-means++ seeds, best of KMEANS_RESTARTS by inertia."""
+    """Lloyd iterations from k-means++ seeds, best of KMEANS_RESTARTS by inertia.
+
+    All seeds are drawn first, in restart order, and Lloyd runs on the
+    stacked restarts; the first restart of least inertia wins.
+    """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
@@ -245,12 +287,8 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> ClusteringSo
         raise ValueError(f"k must be at least 1, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points {n}")
-    best: tuple[float, np.ndarray] | None = None
-    for _ in range(KMEANS_RESTARTS):
-        labels, inertia = _lloyd(points, _kmeanspp_seed(points, k, rng), k)
-        if best is None or inertia < best[0]:
-            best = (inertia, labels)
-    return ClusteringSolution(labels=tuple(int(c) for c in best[1]), k=k)
+    labels, inertia = _lloyd(points, _kmeanspp_seeds(points, k, rng), k)
+    return ClusteringSolution(labels=tuple(labels[int(inertia.argmin())].tolist()), k=k)
 
 
 def _as_labels(sol) -> tuple[np.ndarray, int]:

@@ -540,7 +540,6 @@ def cmd_inject(tensor_path: str, fraction: float, factor: float, seed: int,
     injected = inject_violations(T, rng, fraction=fraction, factor=factor)
     before = check_W_tensor(T).empirical_C
     after = check_W_tensor(injected).empirical_C
-    injected.to_csv(out_tensor)
     summary = {
         "fraction": fraction,
         "factor": factor,
@@ -550,8 +549,16 @@ def cmd_inject(tensor_path: str, fraction: float, factor: float, seed: int,
         "empirical_C_before": before,
         "empirical_C_after": after,
     }
+    # the report goes first, so an unwritable report path fails before
+    # the tensor is written; a failed tensor write takes the report back
     if out_report is not None:
         _write_json(out_report, summary)
+    try:
+        injected.to_csv(out_tensor)
+    except OSError:
+        if out_report is not None:
+            os.remove(out_report)
+        raise
     print(f"injected {summary['n_modified']} of {summary['n_sampled']} entries; "
           f"empirical_C {before} -> {after}")
     return summary

@@ -395,7 +395,8 @@ def check_W_tensor(T: DistanceTensor, C: float = 1.0) -> MetricReport:
                      dtype=np.intp).reshape(-1, order)
     # role r leaves out subset position order - r, matching the order
     # of combinations(subset, order)
-    roles = [[p for p in range(order + 1) if p != order - r] for r in range(order + 1)]
+    roles = np.array([[p for p in range(order + 1) if p != order - r]
+                      for r in range(order + 1)], dtype=np.intp)
     best: float | None = None
     for first in range(T.size - order):
         block = tails[np.searchsorted(tails[:, 0], first, side="right"):]
@@ -407,12 +408,16 @@ def check_W_tensor(T: DistanceTensor, C: float = 1.0) -> MetricReport:
         rep.n_checked += vals.size
         rhs = _face_rhs(vals)
         lhs = C * vals
-        for s, r in zip(*np.nonzero(lhs > rhs + TRIANGLE_SLACK)):
+        s, r = np.nonzero(lhs > rhs + TRIANGLE_SLACK)
+        if s.size:
             rep.triangle = False
-            subset = subsets[s].tolist()
-            rep.violations.append({"kind": "triangle", "where": subset,
-                                   "lhs": [subset[p] for p in roles[r]],
-                                   "margin": float(rhs[s, r] - lhs[s, r])})
+            # one record per violation, in subset then role order
+            where = subsets[s]
+            rep.violations.extend(
+                {"kind": "triangle", "where": w, "lhs": left, "margin": m}
+                for w, left, m in zip(where.tolist(),
+                                      np.take_along_axis(where, roles[r], axis=1).tolist(),
+                                      (rhs[s, r] - lhs[s, r]).tolist()))
         nonzero = vals > ZERO_TOL
         if nonzero.any():
             ratio = float((rhs[nonzero] / vals[nonzero]).min())

@@ -309,6 +309,28 @@ class TestExperimentCommands:
         assert "not a finite value" in err
         assert not out.exists() and not report.exists()
 
+    def test_inject_refuses_an_unwritable_report_before_the_tensor(self, tmp_path, capsys):
+        tensor = tmp_path / "four.csv"
+        tensor.write_text("0,1,2,1.0,1\n0,1,3,1.0,1\n0,2,3,1.0,1\n1,2,3,1.0,1\n")
+        out = tmp_path / "o.csv"
+        rc, _, err = run(["inject", "--seed", "5", "--tensor", str(tensor), "--out", str(out),
+                          "--report", str(tmp_path / "no" / "such" / "dir" / "r.json")],
+                         capsys)
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert not out.exists()
+
+    def test_inject_leaves_no_report_when_the_tensor_write_fails(self, tmp_path, capsys):
+        tensor = tmp_path / "four.csv"
+        tensor.write_text("0,1,2,1.0,1\n0,1,3,1.0,1\n0,2,3,1.0,1\n1,2,3,1.0,1\n")
+        report = tmp_path / "r.json"
+        rc, _, err = run(["inject", "--seed", "5", "--tensor", str(tensor),
+                          "--out", str(tmp_path / "no" / "such" / "dir" / "o.csv"),
+                          "--report", str(report)], capsys)
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert not report.exists()
+
 
 # one raw value per config key except seed, valid as a flag and as a file line
 FLAG_VALUES = {

@@ -21,6 +21,7 @@ from mmot import clustering
 from mmot.clustering import _confusion
 from mmot.metric_props import DistanceTensor
 
+import kmeans_oracle
 from dict_tensor import build_hypergraph_oracle, default_grid_oracle, random_pairs
 
 
@@ -219,6 +220,83 @@ class TestKMeans:
         a = kmeans(pts, 4, rng=np.random.default_rng(11))
         b = kmeans(pts, 4, rng=np.random.default_rng(11))
         assert a.labels == b.labels
+
+
+def embedding_with_duplicates(seed, layout="C"):
+    """A 35 x 7 embedding whose last 15 rows repeat rows 0..14 exactly.
+
+    Column-major is the layout of the spectral embeddings, whose
+    reductions numpy sums in another order than row-major ones.
+    """
+    pts = np.random.default_rng(seed).normal(size=(35, 7))
+    pts[20:] = pts[:15]
+    return np.asarray(pts, order=layout)
+
+
+def assert_matches_loop_oracle(points, k, seed):
+    """Every restart, the chosen labels and the generator's end state equal the loop's."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    rng_loop, rng_stack, rng_call = (np.random.default_rng(seed) for _ in range(3))
+    runs, best = kmeans_oracle.kmeans_restarts(points, k, rng_loop)
+    labels, inertia = clustering._lloyd(pts, clustering._kmeanspp_seeds(pts, k, rng_stack), k)
+    assert len(labels) == len(inertia) == len(runs) == clustering.KMEANS_RESTARTS
+    for r, (want_labels, want_inertia) in enumerate(runs):
+        assert labels[r].tolist() == want_labels.tolist()
+        assert inertia[r] == want_inertia
+    sol = kmeans(points, k, rng_call)
+    assert sol.labels == tuple(runs[best][0].tolist())
+    assert rng_call.bit_generator.state == rng_stack.bit_generator.state \
+        == rng_loop.bit_generator.state
+    return runs
+
+
+class TestKMeansLoopOracle:
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("k", [2, 4, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_embeddings_with_tied_rows(self, seed, k, layout):
+        assert_matches_loop_oracle(embedding_with_duplicates(seed, layout), k, seed + 10)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_empty_cluster_repair(self, monkeypatch, layout):
+        # three distinct rows and k = 6: seeds repeat, so tied centers leave clusters empty
+        pts = np.asarray(np.repeat(np.eye(3, 7), [12, 12, 11], axis=0), order=layout)
+        repairs = []
+        fill_empty = clustering._fill_empty
+        def counted(*args):
+            repairs.append(args)
+            fill_empty(*args)
+        monkeypatch.setattr(clustering, "_fill_empty", counted)
+        assert_matches_loop_oracle(pts, 6, 3)
+        assert repairs
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_iteration_cap(self, monkeypatch, cap):
+        pts = embedding_with_duplicates(4, "F")
+        uncapped = assert_matches_loop_oracle(pts, 7, 5)
+        monkeypatch.setattr(clustering, "KMEANS_MAX_ITER", cap)
+        capped = assert_matches_loop_oracle(pts, 7, 5)
+        # the cap stopped some restart before its labels settled
+        assert [i for _, i in capped] != [i for _, i in uncapped]
+
+    def test_k_one(self):
+        assert_matches_loop_oracle(embedding_with_duplicates(5, "F"), 1, 6)
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_k_equals_n(self, duplicates):
+        pts = (embedding_with_duplicates(6) if duplicates
+               else np.random.default_rng(6).normal(size=(35, 7)))
+        assert_matches_loop_oracle(pts, 35, 7)
+
+    def test_one_column(self):
+        # numpy sums one column pairwise, wider points in order; values
+        # spread over six decades make the two orders round apart
+        rng = np.random.default_rng(0)
+        pts = rng.normal(size=35) * 10 ** rng.uniform(-3, 3, size=35)
+        pts[20:] = pts[:15]
+        assert_matches_loop_oracle(pts, 3, 9)
 
 
 class TestClusteringError:
