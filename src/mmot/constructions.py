@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DiscreteDistribution, same_atoms
-from .metric_props import check_n_metric_cost
+from .metric_props import MetricReport, check_n_metric_cost
 from .transport import SENTINEL_COST, PairwiseCost, mmot
 
 __all__ = [
@@ -65,9 +65,10 @@ class PlanarInstance:
     """Six planar points, rows of a (6, 2) array, and four distributions over them.
 
     Two singletons and two uniform pairs, plus the epsilon-scaled cost
-    floor gamma; w_values holds the four validated transport values and
+    floor gamma; w_values holds the four validated transport values,
     margin the (positive) amount by which the generalized triangle
-    inequality fails.
+    inequality fails, and premise the passed audit of the cost as a
+    (3,1)-metric.
     """
 
     epsilon: float
@@ -77,6 +78,7 @@ class PlanarInstance:
     atom_indices: tuple[tuple[int, ...], ...]
     w_values: dict[tuple[int, ...], float]
     margin: float
+    premise: MetricReport
 
     def cost(self) -> np.ndarray:
         return triangle_area_cost([self.points] * 3, self.gamma)
@@ -147,6 +149,7 @@ def planar_counterexample(epsilon: float) -> PlanarInstance:
         atom_indices=idx,
         w_values=w_values,
         margin=margin,
+        premise=premise,
     )
 
 

@@ -10,13 +10,15 @@ kernel on length-1 arrays, so the audits certify the very map they
 return. A routing kernel fills a fixed 4-slot layout per input plus a
 keep-mask; the kept slots, read in row-major order, are the routed
 triples in emission order. An audit checks every emitted triple with
-boolean masks and counts multiplicities with one `np.bincount` per batch
-(one batch for H^n, one per r for H'^n) over the code (a*N + b)*N + c,
-N = n + 2.
+boolean masks and encodes it as (a*N + b)*N + c, N = n + 2. H^n is
+routed in one call; H'^n one r at a time, which bounds memory, keeping
+each r's codes (and their maximum multiplicity). The kept codes are
+counted with one `np.bincount`, and offending codes are read in
+first-emission order with `np.unique`.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -223,17 +225,11 @@ def _decode(codes: np.ndarray, n: int) -> list[Triple]:
     return _triples(np.column_stack([a, b, c]))
 
 
-def _first_emitted(batches: Iterable[np.ndarray], wanted: np.ndarray) -> np.ndarray:
-    """Codes with `wanted[code]` set, in the order the batches first emit them."""
-    seen = np.zeros_like(wanted)
-    found = []
-    for codes in batches:
-        hit = codes[wanted[codes] & ~seen[codes]]
-        _, first = np.unique(hit, return_index=True)
-        new = hit[np.sort(first)]
-        seen[new] = True
-        found.append(new)
-    return np.concatenate(found)
+def _first_emitted(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Codes with `wanted[code]` set, in the order `codes` first emits them."""
+    hit = codes[wanted[codes]]
+    _, first = np.unique(hit, return_index=True)
+    return hit[np.sort(first)]
 
 
 def _histogram(counts: np.ndarray) -> dict[int, int]:
@@ -255,7 +251,7 @@ def audit_H(n: int) -> HashAuditReport:
     counts = np.bincount(codes, minlength=(n + 2) ** 3)
     max_mult = int(counts.max())
     if max_mult > 1:
-        dups = _first_emitted([codes], counts > 1)
+        dups = _first_emitted(codes, counts > 1)
         violations += [f"duplicate triple {t} appears {counts[d]} times"
                        for d, t in zip(dups.tolist(), _decode(dups, n))]
     return HashAuditReport(
@@ -267,13 +263,6 @@ def audit_H(n: int) -> HashAuditReport:
     )
 
 
-def _triple_batches(i: np.ndarray, j: np.ndarray,
-                    n: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    # one batch per r bounds the working set to one r's C(n, 2) inputs
-    for r in range(1, n):
-        yield (r, *_emit(*_triple_routes(i, j, r, n)))
-
-
 def audit_H_prime(n: int) -> HashAuditReport:
     """Exhaustively audit H'^n: at most 5 copies of any triple.
 
@@ -282,11 +271,12 @@ def audit_H_prime(n: int) -> HashAuditReport:
     """
     _audit_cap(n)
     i, j = _pairs(n)
-    size = (n + 2) ** 3
-    pooled = np.zeros(size, dtype=np.int64)
     per_r_max: dict[int, int] = {}
     violations: list[str] = []
-    for r, tri, row in _triple_batches(i, j, n):
+    codes = []
+    # one r at a time bounds the routing working set to C(n, 2) inputs
+    for r in range(1, n):
+        tri, row = _emit(*_triple_routes(i, j, r, n))
         a, b, c = tri.T
         violations += _flag(tri, [
             (~((1 <= a) & (a <= b) & (b <= n)), "out of range"),
@@ -295,18 +285,18 @@ def audit_H_prime(n: int) -> HashAuditReport:
             # exclusion is vacuous; it holds for every n >= 3
             (((c == a) | (c == b)) & (n >= 3), "bucket collides"),
         ], lambda k: f"({i[row[k]]},{j[row[k]]},{r})")
-        counts_r = np.bincount(_codes(tri, n), minlength=size)
-        per_r_max[r] = int(counts_r.max())
-        pooled += counts_r
+        codes.append(_codes(tri, n))
+        per_r_max[r] = int(np.bincount(codes[-1]).max())
+    codes = np.concatenate(codes)
+    pooled = np.bincount(codes, minlength=(n + 2) ** 3)
     max_mult = int(pooled.max())
     if max_mult > 5:
-        offenders = _first_emitted(
-            (_codes(tri, n) for _, tri, _ in _triple_batches(i, j, n)), pooled > 5)
+        offenders = _first_emitted(codes, pooled > 5)
         violations.append(f"multiplicity {max_mult} > 5 for {_decode(offenders[:5], n)}")
-    worst = np.flatnonzero(pooled == max_mult)[:10] if max_mult else pooled[:0]
+    worst = np.flatnonzero(pooled == max_mult)[:10]
     return HashAuditReport(
         n=n,
-        total=int(pooled.sum()),
+        total=len(codes),
         max_multiplicity=max_mult,
         histogram=_histogram(pooled),
         violations=violations,

@@ -2,12 +2,16 @@
 
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import json
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from mmot import experiments
+from mmot import experiments, hashes, metric_props
 from mmot.cli import _build_config, build_parser, main
 from mmot.experiments import CONFIG_PARSERS
 from mmot.graphs import DEFAULT_FAMILIES, generate, load_graph
@@ -145,6 +149,23 @@ class TestGraphsGen:
         assert flags == want
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _count_calls(monkeypatch, fn):
+    """Route every loaded mmot module's name for fn through one call log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mmot" and vars(module).get(fn.__name__) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
 class TestVerify:
     def test_all_checks_pass(self, capsys):
         rc, out, _ = run(["verify"], capsys)
@@ -152,6 +173,43 @@ class TestVerify:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 6
         assert all(l.startswith("PASS") for l in lines)
+        # the benchmark's verify workload compares these names with its reference
+        reference = json.loads((PERFBENCH / "references" / "verify.json").read_text())
+        assert [l.split(":")[0] for l in lines] == reference["fixed"]["verify"]["checks"]
+
+    def test_each_audit_runs_once(self, monkeypatch, capsys):
+        premise = _count_calls(monkeypatch, metric_props.check_n_metric_cost)
+        triple = _count_calls(monkeypatch, hashes.audit_H_prime)
+        rc, _, _ = run(["verify"], capsys)
+        assert rc == 0
+        assert len(premise) == 1
+        assert [args[0] for args in triple] == list(range(2, 41))
+
+
+def _load_spans(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their defining module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_every_patch(monkeypatch):
+    spans = _load_spans(monkeypatch)
+    targets = []
+    for module_name, attr, _ in spans.PATCHES:
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = getattr(owner, cls_name)
+        assert attr in vars(owner), f"span target {module_name}.{attr} is gone"
+        targets.append((owner, attr, vars(owner)[attr]))
+    with spans.Tracer().installed():
+        for owner, attr, original in targets:
+            assert vars(owner)[attr] is not original, attr
+    for owner, attr, original in targets:
+        assert vars(owner)[attr] is original, attr
 
 
 def test_huge_node_id_exits_2_naming_its_line(tmp_path, capsys):

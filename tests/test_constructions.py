@@ -116,7 +116,9 @@ class TestPlanarCounterexample:
     @pytest.mark.parametrize("eps", [4.1e-12, 0.01])
     def test_built_cost_passes_the_premise_audit(self, eps):
         inst = planar_counterexample(eps)
-        assert check_n_metric_cost(inst.cost(), inst.points).ok
+        rep = check_n_metric_cost(inst.cost(), inst.points)
+        assert rep.ok
+        assert inst.premise == rep  # the report `mmot verify` prints from
         assert inst.margin > 0
 
     def test_distribution_shapes(self):

@@ -235,6 +235,10 @@ class TestPlantedFaults:
         ({(2, 3, 1): (2, 3, 3)}, "Triple(a=2, b=3, c=3) from (2,3,1): bucket collides"),
         ({(1, 2, 1): (2, 3, 1)},
          "multiplicity 6 > 5 for [Triple(a=2, b=3, c=1)]"),
+        ({(2, 3, 2): (2, 5, 1)}, "Triple(a=2, b=5, c=1) from (2,3,2): out of range"),
+        # only at r = 3, where it also lifts per_r_max[3] from 3 to 4
+        ({(2, 4, 3): (2, 3, 1)},
+         "multiplicity 6 > 5 for [Triple(a=2, b=3, c=1)]"),
     ])
     def test_triple_audit(self, monkeypatch, faults, wording):
         _plant(monkeypatch, "_triple_routes", "H_prime_n", faults)
@@ -252,6 +256,25 @@ class TestPlantedFaults:
         assert rep.violations == [
             "multiplicity 6 > 5 for [Triple(a=1, b=4, c=2), Triple(a=1, b=2, c=3)]"]
         assert rep == oracle.audit_H_prime(4)
+
+    def test_each_r_routed_once(self, monkeypatch):
+        calls = []
+        kernel = hashes._triple_routes
+
+        def counted(i, j, r, n):
+            calls.append(r)
+            return kernel(i, j, r, n)
+
+        monkeypatch.setattr(hashes, "_triple_routes", counted)
+        for n in (2, 4, 7):
+            calls.clear()
+            assert audit_H_prime(n).ok
+            assert calls == list(range(1, n))
+        # a failing audit reads its offenders from the codes it already has
+        _plant(monkeypatch, "_triple_routes", "H_prime_n", {(1, 2, 1): (2, 3, 1)})
+        calls.clear()
+        assert not audit_H_prime(4).ok
+        assert calls == [1, 2, 3]
 
     def test_uncountable_component_raises(self, monkeypatch):
         _plant(monkeypatch, "_pair_routes", "H_n", {(2, 3): (2, 3, 7)})
