@@ -4,7 +4,9 @@
 first, and has no hash.  Every function below is the pairwise Python
 loop that `mmot` replaced with masks over `same_atoms`; array supports
 go in, are turned into `Atom` lists row by row, and the loops run on
-those.  Outputs are plain lists and arrays so tests can compare them
+those.  `n_metric_triangle` is the scalar loop behind the vectorized
+triangle scan of `check_n_metric_cost`, kept here beside its identity
+loop.  Outputs are plain lists and arrays so tests can compare them
 with `==`.
 """
 from __future__ import annotations
@@ -243,4 +245,22 @@ def n_metric_identity(cost: np.ndarray, support, tol: float = ZERO_TOL) -> list[
         if all_equal != zero:
             out.append({"kind": "identity", "where": list(idx),
                         "margin": float(cost[idx])})
+    return out
+
+
+def n_metric_triangle(cost: np.ndarray, C: float = 1.0, tol: float = ZERO_TOL) -> list[dict]:
+    """Triangle violations of a shared cost tensor, one (n+1)-tuple at a time.
+
+    A tuple's left side is C times the cell of its first n indices; its
+    right side sums, in position order, the cells leaving out each of them.
+    """
+    n = cost.ndim
+    out = []
+    for idx in np.ndindex(*(cost.shape[0],) * (n + 1)):
+        rhs = 0.0
+        for p in range(n):
+            rhs = rhs + cost[idx[:p] + idx[p + 1:]]
+        gap = rhs - C * cost[idx[:n]]
+        if gap < -tol:
+            out.append({"kind": "triangle", "where": list(idx), "margin": float(gap)})
     return out

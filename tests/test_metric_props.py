@@ -284,6 +284,27 @@ class TestCheckMetric:
         assert rep.symmetric is False
         assert {"kind": "symmetry", "where": [0, 1], "margin": 0.0} in rep.violations
 
+    def test_records_match_the_loop_in_order(self):
+        # several failures of each kind within one call, so a reordering shows
+        d, supports = self.metric_inputs(seed=3)
+        d = {key: m.copy() for key, m in d.items()}
+        d[(0, 1)][0, 0], d[(0, 1)][1, 2] = -0.5, -0.25
+        d[(0, 1)][2, 0], d[(1, 2)][0, 1] = 0.0, 0.0
+        d[(0, 2)][1, 1], d[(0, 2)][2, 0] = 50.0, 40.0
+        rep = check_metric(d, supports)
+        assert rep == atom_oracle.check_metric(d, supports)
+        kinds = [v["kind"] for v in rep.violations]
+        assert all(kinds.count(k) >= 2 for k in ("nonnegativity", "identity", "triangle"))
+
+    def test_nan_cell_is_refused(self):
+        # NaN compares false: the identity check read it as a violation with
+        # margin nan, and the triangle check passed over it
+        d, supports = self.metric_inputs()
+        d[(1, 2)] = d[(1, 2)].copy()
+        d[(1, 2)][0, 1] = np.nan
+        with pytest.raises(ValueError, match=r"cost for pair \(1,2\) has a NaN cell"):
+            check_metric(d, supports)
+
 
 class TestCheckNMetricCost:
     def test_area_like_cost_passes_symmetry(self):
@@ -304,6 +325,45 @@ class TestCheckNMetricCost:
         cost[0, 1] = 1.0
         rep = check_n_metric_cost(cost, atoms)
         assert not rep.symmetric
+
+    def test_every_negative_cell_is_recorded(self):
+        cost = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        rep = check_n_metric_cost(cost, np.array([0.0, 1.0]))
+        assert rep.nonnegative is False
+        assert [v for v in rep.violations if v["kind"] == "nonnegativity"] == [
+            {"kind": "nonnegativity", "where": [0, 1], "margin": -1.0},
+            {"kind": "nonnegativity", "where": [1, 0], "margin": -1.0},
+        ]
+
+    def test_nan_cell_is_refused(self):
+        cost = np.ones((3, 3, 3))
+        cost[1, 0, 2] = np.nan
+        # without the refusal: six symmetry records, the identity permutation among
+        # them, and empirical_C = nan
+        with pytest.raises(ValueError, match=r"cost is NaN at cell \(1, 0, 2\)"):
+            check_n_metric_cost(cost, np.array([0.0, 1.0, 2.0]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_records_match_the_loops_in_order(self, n):
+        rng = np.random.default_rng(40 + n)
+        several = 0
+        for C in (1.0, 2.0):
+            for _ in range(5):
+                pts = rng.uniform(-1, 1, size=(5, 2))
+                cost = rng.uniform(-0.3, 1.0, size=(5,) * n)
+                cost[rng.random(cost.shape) < 0.2] = 0.0
+                rep = check_n_metric_cost(cost, pts, C=C)
+                got = {k: [v for v in rep.violations if v["kind"] == k]
+                       for k in ("nonnegativity", "identity", "triangle")}
+                assert got["nonnegativity"] == [
+                    {"kind": "nonnegativity", "where": list(idx), "margin": float(cost[idx])}
+                    for idx in np.ndindex(*cost.shape) if cost[idx] < 0]
+                assert got["identity"] == atom_oracle.n_metric_identity(cost, pts)
+                assert got["triangle"] == atom_oracle.n_metric_triangle(cost, C)
+                assert rep.triangle == (not got["triangle"])
+                several += all(len(records) >= 2 for records in got.values())
+        # most seeded costs fail each check several times, so a reordering shows
+        assert several >= 8
 
 
 def collinear_tensor(n):
