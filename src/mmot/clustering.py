@@ -346,10 +346,10 @@ def tune_threshold(
     for th in grid:
         try:
             sol = clusterer(T, float(th))
-            err = clustering_error(sol, truth)
         except ValueError as exc:
             last_exc = exc
             continue
+        err = clustering_error(sol, truth)
         if best is None or err < best[1]:
             best = (float(th), float(err))
     if best is None:

@@ -271,14 +271,15 @@ def check_metric(
     `atoms[i]` is the support of space i; the matrix of pair (i, j) is
     over the atoms of space i by those of space j.  A raw pair->matrix
     dict is accepted so the audit can run on data the strict container
-    would reject (that rejection is itself what gets audited), NaN aside.
+    would reject (that rejection is itself what gets audited), NaN and inf aside.
     """
     pairs = ((k, d.get(*k)) for k in d.pairs) if isinstance(d, PairwiseCost) else d.items()
     raw = {tuple(k): np.asarray(v, dtype=float) for k, v in pairs}
     for (i, j), m in raw.items():
-        # NaN compares false, so every check below would pass over it
-        if np.isnan(m).any():
-            raise ValueError(f"cost for pair ({i},{j}) has a NaN cell")
+        # NaN compares false, so every check below would pass over it; inf - inf is NaN
+        if not np.isfinite(m).all():
+            what = "a NaN" if np.isnan(m).any() else "an infinite"
+            raise ValueError(f"cost for pair ({i},{j}) has {what} cell")
 
     def get(i: int, j: int) -> np.ndarray:
         return raw[(i, j)] if (i, j) in raw else raw[(j, i)].T
@@ -334,9 +335,10 @@ def check_n_metric_cost(
     m = len(atoms)
     if cost.shape != (m,) * n:
         raise ValueError(f"cost shape {cost.shape} does not match {m} atoms")
-    nan = np.argwhere(np.isnan(cost))
-    if len(nan):
-        raise ValueError(f"cost is NaN at cell {tuple(nan[0].tolist())}")
+    bad = np.argwhere(~np.isfinite(cost))
+    if len(bad):
+        cell = tuple(bad[0].tolist())
+        raise ValueError(f"cost is {'NaN' if np.isnan(cost[cell]) else cost[cell]} at cell {cell}")
     rep = MetricReport(nonnegative=True, identity=True, symmetric=True, triangle=True)
     rep.n_checked += cost.size
     neg = cost < 0

@@ -519,6 +519,17 @@ class TestTuneThreshold:
         with pytest.raises(ValueError):
             tune_threshold(T, labels, self.cluster_fn, grid=[0.0])
 
+    def test_scoring_error_propagates(self):
+        # only a clusterer failure skips a gridpoint; a labeling of the wrong
+        # length is a bug in the clusterer, not an infeasible threshold
+        T, labels = block_tensor([4, 4, 4], seed=6)
+
+        def short(tensor, th):
+            return ClusteringSolution(tuple([0] * (tensor.size - 1)), 1)
+
+        with pytest.raises(ValueError, match=r"^length mismatch"):
+            tune_threshold(T, labels, short, grid=[50.0, 100.0])
+
     def test_tie_keeps_earliest_gridpoint(self):
         T, labels = block_tensor([4, 4, 4], seed=6)
         thr, err = tune_threshold(T, labels, self.cluster_fn, grid=[50.0, 100.0])

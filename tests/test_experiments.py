@@ -289,6 +289,25 @@ class TestBackendTable:
         assert all(ref() is None for ref in refs)
 
 
+def test_nan_value_is_refused(monkeypatch):
+    # NaN compares false against the blocked threshold, so it is no blocked verdict
+    cfg = ExperimentConfig(seed=5, families=("cycle", "complete"), graphs_per_family=2,
+                           top_k=4, backend="wd_pairwise")
+    order, real = experiments._BACKENDS["wd_pairwise"]
+    calls = []
+
+    def nan_first(ps, ell):
+        calls.append(ps)
+        res = real(ps, ell)
+        return TransportResult(np.nan, res.coupling) if len(calls) == 1 else res
+
+    monkeypatch.setitem(experiments._BACKENDS, "wd_pairwise", (order, nan_first))
+    dists = [signature_distribution(signature(g.graph, top_k=cfg.top_k))
+             for g in build_corpus(cfg)]
+    with pytest.raises(ValueError, match="value must be finite and nonnegative, got nan"):
+        compute_tensor(cfg, dists)
+
+
 def test_blocked_tuple_is_not_a_distance(tmp_path, monkeypatch):
     cfg = ExperimentConfig(seed=5, families=("cycle", "complete", "hypercube"),
                            graphs_per_family=2, top_k=4, backend="mmot_pairwise",

@@ -305,6 +305,16 @@ class TestCheckMetric:
         with pytest.raises(ValueError, match=r"cost for pair \(1,2\) has a NaN cell"):
             check_metric(d, supports)
 
+    def test_inf_cell_is_refused(self):
+        # an inf cost and an all-inf detour row met as inf - inf in the triangle gap
+        d, supports = self.metric_inputs()
+        d[(0, 1)] = d[(0, 1)].copy()
+        d[(0, 1)][0, 1] = np.inf
+        d[(0, 2)] = d[(0, 2)].copy()
+        d[(0, 2)][0, :] = np.inf
+        with pytest.raises(ValueError, match=r"cost for pair \(0,1\) has an infinite cell"):
+            check_metric(d, supports)
+
 
 class TestCheckNMetricCost:
     def test_area_like_cost_passes_symmetry(self):
@@ -341,6 +351,14 @@ class TestCheckNMetricCost:
         # without the refusal: six symmetry records, the identity permutation among
         # them, and empirical_C = nan
         with pytest.raises(ValueError, match=r"cost is NaN at cell \(1, 0, 2\)"):
+            check_n_metric_cost(cost, np.array([0.0, 1.0, 2.0]))
+
+    def test_inf_cell_is_refused(self):
+        cost = np.ones((3, 3, 3))
+        cost[np.arange(3), np.arange(3), np.arange(3)] = 0.0
+        cost[0, 1, 2] = np.inf
+        # without the refusal: inf - inf in the triangle gap, and empirical_C = nan
+        with pytest.raises(ValueError, match=r"cost is inf at cell \(0, 1, 2\)"):
             check_n_metric_cost(cost, np.array([0.0, 1.0, 2.0]))
 
     @pytest.mark.parametrize("n", [2, 3])
