@@ -207,7 +207,11 @@ def _kmeanspp_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
             if total <= 0.0:
                 seeds[r, s] = int(rng.integers(n))
             else:
-                seeds[r, s] = int(rng.choice(n, p=d2 / total))
+                # rng.choice(n, p=d2 / total)'s own arithmetic: the same
+                # index and the same generator state, without its checks
+                cdf = (d2 / total).cumsum()
+                cdf /= cdf[-1]
+                seeds[r, s] = int(cdf.searchsorted(rng.random(), side="right"))
     return seeds
 
 

@@ -1,10 +1,18 @@
 """Equality-form LPs solved by HiGHS dual revised simplex.
 
 min c.x  s.t.  A x = b, x >= 0; A may come dense or scipy.sparse and is
-stored as a CSC array.  Transport constraint systems are rank-deficient;
-HiGHS removes dependent rows and detects inconsistent ones itself.  The
-simplex returns a basic optimal solution, and the same problem gives the
-same answer on every run.
+stored as a canonical CSC array (sorted indices, duplicates summed).
+Transport constraint systems are rank-deficient; HiGHS removes dependent
+rows and detects inconsistent ones itself.  The simplex returns a basic
+optimal solution, and the same problem gives the same answer on every run.
+
+Each solve builds one model for scipy's HiGHS binding
+(`scipy.optimize._highspy._core`, which scipy's own HiGHS methods drive)
+and runs it in a fresh solver, so no basis carries over between LPs.
+An optimal answer must prove itself: the primal point and the row duals
+pass a residual, dual-feasibility and duality-gap check, or the solve
+raises.  A model HiGHS refuses (a coefficient or bound past its infinity,
+say) raises too; it is never reported as infeasible.
 """
 from __future__ import annotations
 
@@ -12,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _h
 
 __all__ = [
     "OPTIMAL",
@@ -35,6 +43,20 @@ FEASIBLE = "feasible"
 PRIMAL_FEAS_TOL = 1e-10
 DUAL_FEAS_TOL = 1e-10
 
+# the options scipy's method="highs-ds" sets, and nothing else
+_OPTIONS = _h.HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.solver = "simplex"
+_OPTIONS.simplex_strategy = _h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_OPTIONS.primal_feasibility_tolerance = PRIMAL_FEAS_TOL
+_OPTIONS.dual_feasibility_tolerance = DUAL_FEAS_TOL
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
+_OPTIONS.highs_debug_level = _h.HighsDebugLevel.kHighsDebugLevelNone
+
+_ANSWERS = (_h.HighsModelStatus.kOptimal, _h.HighsModelStatus.kInfeasible,
+            _h.HighsModelStatus.kUnbounded)
+
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
@@ -44,7 +66,10 @@ class LpProblem:
 
     def __init__(self, c, A, b):
         c = np.asarray(c, dtype=float)
-        A = sp.csc_array(A, dtype=float)  # raises unless A is a matrix
+        # HiGHS does not sum duplicate entries; sum_duplicates works in
+        # place, so copy first and leave the caller's arrays alone
+        A = sp.csc_array(A, dtype=float, copy=True)  # raises unless A is a matrix
+        A.sum_duplicates()
         b = np.asarray(b, dtype=float)
         if c.ndim != 1 or b.ndim != 1:
             raise ValueError("c and b must be vectors")
@@ -65,21 +90,52 @@ class LpSolution:
     x: np.ndarray
 
 
+def _certify(p: LpProblem, x: np.ndarray, y: np.ndarray) -> None:
+    """Raise unless x is primal feasible, y dual feasible and their objectives meet."""
+    residual, lowest = float(np.max(np.abs(p.A @ x - p.b))), float(np.min(x))
+    if residual > PRIMAL_FEAS_TOL * (1.0 + np.max(np.abs(p.b))) or lowest < -PRIMAL_FEAS_TOL:
+        raise RuntimeError(f"HiGHS optimum is not primal feasible: |Ax - b| = {residual:.3g}, "
+                           f"min x = {lowest:.3g}")
+    reduced = float(np.min(p.c - p.A.T @ y))
+    if reduced < -DUAL_FEAS_TOL * (1.0 + np.max(np.abs(p.c))):
+        raise RuntimeError(f"HiGHS optimum is not dual feasible: min(c - A'y) = {reduced:.3g}")
+    primal = float(p.c @ x)
+    gap = abs(primal - float(p.b @ y))
+    if gap > DUAL_FEAS_TOL * (1.0 + abs(primal)):
+        raise RuntimeError(f"HiGHS optimum has duality gap {gap:.3g}")
+
+
 def _highs(p: LpProblem) -> LpSolution:
     """The one HiGHS call behind both `solve` and `feasible`."""
-    res = linprog(
-        p.c, A_eq=p.A, b_eq=p.b, bounds=(0, None), method="highs-ds",
-        options={"primal_feasibility_tolerance": PRIMAL_FEAS_TOL,
-                 "dual_feasibility_tolerance": DUAL_FEAS_TOL},
-    )
-    n = p.c.shape[0]
-    if res.status == 0:
-        return LpSolution(OPTIMAL, float(p.c @ res.x), res.x)
-    if res.status == 2:
+    (m, n), A = p.A.shape, p.A
+    model = _h.HighsLp()
+    model.num_col_, model.num_row_ = n, m
+    model.col_cost_ = p.c
+    model.col_lower_ = np.zeros(n)
+    model.col_upper_ = np.full(n, _h.kHighsInf)
+    model.row_lower_ = model.row_upper_ = p.b
+    matrix = model.a_matrix_
+    matrix.format_ = _h.MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = n, m
+    matrix.start_, matrix.index_, matrix.value_ = A.indptr, A.indices, A.data
+
+    highs = _h._Highs()
+    highs.passOptions(_OPTIONS)
+    if highs.passModel(model) == _h.HighsStatus.kError:
+        raise RuntimeError("HiGHS failed: "
+                           + highs.modelStatusToString(_h.HighsModelStatus.kModelError))
+    run = highs.run()
+    status = highs.getModelStatus()
+    if run == _h.HighsStatus.kError or status not in _ANSWERS:
+        raise RuntimeError(f"HiGHS failed: {highs.modelStatusToString(status)}")
+    if status == _h.HighsModelStatus.kInfeasible:
         return LpSolution(INFEASIBLE, np.nan, np.full(n, np.nan))
-    if res.status == 3:
+    if status == _h.HighsModelStatus.kUnbounded:
         return LpSolution(UNBOUNDED, -np.inf, np.full(n, np.nan))
-    raise RuntimeError(f"HiGHS failed: {res.message}")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    _certify(p, x, np.array(solution.row_dual))
+    return LpSolution(OPTIMAL, float(p.c @ x), x)
 
 
 def solve(p: LpProblem) -> LpSolution:

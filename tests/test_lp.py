@@ -1,17 +1,25 @@
-"""Simplex solver against an exhaustive basic-feasible-solution oracle.
+"""Simplex solver against two oracles.
 
-Every bounded LP here has at most 8 variables, so the optimum must be
-attained at one of the finitely many basic feasible solutions and the
-oracle below can enumerate them all.
+Every bounded LP in the enumeration tests has at most 8 variables, so the
+optimum must be attained at one of the finitely many basic feasible
+solutions and `bfs_enumerate` can list them all.  `linprog(method="highs-ds")`
+drives the same HiGHS build with the same options, so `lp.solve` must
+return its status, its x and its value exactly.
 """
 
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.optimize import linprog
 
+import mmot
 from mmot import lp
+from mmot.transport import marginal_constraints
 
 
 def bfs_enumerate(c, A, b, feas_tol=1e-9):
@@ -173,3 +181,177 @@ def test_feasible_reports_witness():
     status, x = lp.feasible([[1.0, 1.0]], [-2.0])
     assert status == lp.INFEASIBLE
     assert x is None
+
+
+# ------------------------------------------------------ linprog as the oracle
+
+LINPROG_STATUS = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}
+
+
+def linprog_oracle(c, A, b):
+    """linprog's answer under lp's tolerances: (status, value, x, row duals)."""
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds",
+                  options={"primal_feasibility_tolerance": lp.PRIMAL_FEAS_TOL,
+                           "dual_feasibility_tolerance": lp.DUAL_FEAS_TOL})
+    status = LINPROG_STATUS[res.status]
+    if status != lp.OPTIMAL:
+        return status, None, None, None
+    return status, float(np.asarray(c, dtype=float) @ res.x), res.x, res.eqlin.marginals
+
+
+def assert_matches_linprog(c, A, b):
+    res = lp.solve(lp.LpProblem(c, A, b))
+    status, value, x, _ = linprog_oracle(c, A, b)
+    assert res.status == status
+    if status == lp.OPTIMAL:
+        assert np.array_equal(res.x, x)
+        assert res.value == value
+    return res
+
+
+def transport_lp(rng, shape, blocked=0.0):
+    """A seeded transport LP over `shape`, with a share of its cells blocked."""
+    cost = rng.integers(0, 5, size=shape).astype(float) + rng.random(shape)
+    cells = np.flatnonzero(rng.random(cost.size) >= blocked)
+    masses = [rng.dirichlet(np.ones(m)) for m in shape]
+    return cost.ravel()[cells], marginal_constraints(shape, cells), np.concatenate(masses)
+
+
+def test_linprog_oracle_on_seeded_instances():
+    rng = np.random.default_rng(101)
+    statuses = set()
+    for _ in range(60):
+        c, A, b = random_feasible_lp(rng)
+        for A_in in (A, sparse.csc_array(A)):
+            statuses.add(assert_matches_linprog(c, A_in, b).status)
+    assert statuses == {lp.OPTIMAL, lp.UNBOUNDED}
+
+
+def test_linprog_oracle_on_degenerate_instances():
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        a, b_dim = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        C = rng.integers(0, 3, size=(a, b_dim)).astype(float)
+        A = marginal_constraints((a, b_dim), np.arange(a * b_dim))
+        rhs = np.concatenate([np.full(a, 1.0 / a), np.full(b_dim, 1.0 / b_dim)])
+        for A_in in (A.toarray(), A):
+            assert assert_matches_linprog(C.ravel(), A_in, rhs).status == lp.OPTIMAL
+
+
+@pytest.mark.parametrize("shape", [(6, 5), (4, 3, 5), (3, 4, 2, 3)])
+def test_linprog_oracle_on_transport_lps(shape):
+    rng = np.random.default_rng(len(shape))
+    for blocked in (0.0, 0.2, 0.5):
+        for _ in range(5):
+            assert_matches_linprog(*transport_lp(rng, shape, blocked))
+
+
+def test_linprog_oracle_on_infeasible_and_unbounded():
+    assert assert_matches_linprog([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]],
+                                  [1.0, 2.0]).status == lp.INFEASIBLE
+    assert assert_matches_linprog([-1.0, 0.0], [[1.0, -1.0]], [0.0]).status == lp.UNBOUNDED
+
+
+def test_noncanonical_csc_solves_as_its_dense_form():
+    # HiGHS itself does not sum duplicates: without the canonical form this
+    # may abort the interpreter, so the solve runs in a child process
+    code = """
+import numpy as np
+from scipy import sparse
+from mmot import lp
+# column 0 holds row 1 twice (0.5 + 0.5) and its rows out of order
+indptr = np.array([0, 3, 5, 7])
+indices = np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.int32)
+data = np.array([0.5, 1.0, 0.5, 1.0, 1.0, 1.0, 2.0])
+A = sparse.csc_array((data, indices, indptr), shape=(2, 3))
+assert not A.has_canonical_format
+c, b = np.array([1.0, 2.0, 0.5]), np.array([1.0, 1.5])
+sparse_sol = lp.solve(lp.LpProblem(c, A, b))
+dense_sol = lp.solve(lp.LpProblem(c, A.toarray(), b))
+assert sparse_sol.status == dense_sol.status == lp.OPTIMAL
+assert np.array_equal(sparse_sol.x, dense_sol.x) and sparse_sol.value == dense_sol.value
+print("same", sparse_sol.value)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mmot.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("same")
+
+
+def test_noncanonical_csc_is_not_changed_in_place():
+    indptr, indices = np.array([0, 2, 3]), np.array([1, 1, 0], dtype=np.int32)
+    A = sparse.csc_array((np.array([1.0, 2.0, 3.0]), indices, indptr), shape=(2, 2))
+    p = lp.LpProblem([1.0, 1.0], A, [3.0, 3.0])
+    assert p.A.has_canonical_format
+    np.testing.assert_array_equal(p.A.toarray(), [[0.0, 3.0], [3.0, 0.0]])
+    np.testing.assert_array_equal(A.indices, indices)
+    np.testing.assert_array_equal(A.data, [1.0, 2.0, 3.0])
+
+
+def test_solves_do_not_depend_on_order():
+    rng = np.random.default_rng(5)
+    P = lp.LpProblem(*transport_lp(rng, (5, 4, 6), 0.3))
+    Q = lp.LpProblem(*transport_lp(rng, (5, 4, 6), 0.3))
+    alone = lp.solve(Q)
+    lp.solve(P)
+    after = lp.solve(Q)
+    assert alone.status == after.status == lp.OPTIMAL
+    assert np.array_equal(alone.x, after.x) and alone.value == after.value
+
+
+# ------------------------------------------------------ HiGHS model errors
+
+
+@pytest.mark.parametrize("rhs", [1.0, 1e25])
+def test_model_error_raises_instead_of_infeasible(rhs):
+    # x = (0, 1) is feasible at rhs 1, but HiGHS refuses the 1e16
+    # coefficient as a model error, which linprog reports as infeasible
+    with pytest.raises(RuntimeError, match="Model error"):
+        lp.solve(lp.LpProblem([1.0, 1.0], [[1e16, 1.0]], [rhs]))
+    with pytest.raises(RuntimeError, match="Model error"):
+        lp.feasible([[1e16, 1.0]], [rhs])
+
+
+# ------------------------------------------------------ optimality certificates
+
+
+def certified_transport_lp():
+    c, A, b = transport_lp(np.random.default_rng(11), (4, 5))
+    p = lp.LpProblem(c, A, b)
+    status, _, x, y = linprog_oracle(c, A, b)
+    assert status == lp.OPTIMAL
+    lp._certify(p, x, y)  # the oracle's own answer passes
+    return p, x, y
+
+
+def test_certificate_rejects_perturbed_primal():
+    p, x, y = certified_transport_lp()
+    moved = x.copy()
+    moved[np.argmax(moved)] += 1e-6
+    with pytest.raises(RuntimeError, match="not primal feasible"):
+        lp._certify(p, moved, y)
+
+
+def test_certificate_rejects_negative_primal():
+    # Ax = b holds exactly, but x leaves the orthant
+    p = lp.LpProblem([1.0, 1.0], [[1.0, 1.0]], [1.0])
+    with pytest.raises(RuntimeError, match="not primal feasible"):
+        lp._certify(p, np.array([1.0 + 1e-6, -1e-6]), np.array([1.0]))
+
+
+def test_certificate_rejects_negative_reduced_cost():
+    p, x, y = certified_transport_lp()
+    raised = y.copy()
+    raised[0] += 1.0 + np.max(np.abs(p.c))
+    with pytest.raises(RuntimeError, match="not dual feasible"):
+        lp._certify(p, x, raised)
+
+
+def test_certificate_rejects_duality_gap():
+    # lowering one dual keeps c - A'y >= 0 (A >= 0) but opens a gap of 1e-6 * b[0]
+    p, x, y = certified_transport_lp()
+    lowered = y.copy()
+    lowered[0] -= 1e-6
+    with pytest.raises(RuntimeError, match="duality gap"):
+        lp._certify(p, x, lowered)
