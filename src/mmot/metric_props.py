@@ -377,6 +377,36 @@ def _face_rhs(vals: np.ndarray) -> np.ndarray:
     return total[:, None] - vals
 
 
+def _roles(order: int) -> np.ndarray:
+    """Per role r, the subset positions of its entry: all but position order - r.
+
+    This matches the order of combinations(subset, order).
+    """
+    return np.array([[p for p in range(order + 1) if p != order - r]
+                     for r in range(order + 1)], dtype=np.intp)
+
+
+def _full_subsets(T: DistanceTensor) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each fully sampled (order+1)-subset and its entries by role, one block per smallest index.
+
+    Subsets come in lexicographic order straight from the tensor's dense
+    array, so a scan holds one block at a time.
+    """
+    order, dense = T.order, T.dense
+    # the tails of every block: increasing order-tuples over 1..size-1,
+    # lexicographic, so the tails above index i form a suffix
+    tails = np.array(list(combinations(range(1, T.size), order)),
+                     dtype=np.intp).reshape(-1, order)
+    roles = _roles(order)
+    for first in range(T.size - order):
+        block = tails[np.searchsorted(tails[:, 0], first, side="right"):]
+        subsets = np.column_stack([np.full(len(block), first, dtype=np.intp), block])
+        vals = np.column_stack([dense[tuple(subsets[:, p] for p in cols)]
+                                for cols in roles])
+        full = ~np.isnan(vals).any(axis=1)
+        yield subsets[full], vals[full]
+
+
 def check_W_tensor(T: DistanceTensor, C: float = 1.0) -> MetricReport:
     """Scan every fully sampled (order+1)-subset for generalized triangle failures.
 
@@ -385,32 +415,16 @@ def check_W_tensor(T: DistanceTensor, C: float = 1.0) -> MetricReport:
     order 3 up.  empirical_C is the smallest ratio seen over roles with
     nonzero left side, the leave-one-out ratio; n-way pairwise MMOT
     on the collinear family attains n - 1.  Subsets are scanned in lexicographic order
-    straight from the tensor's dense array, one block per smallest index,
-    so the scan holds one block at a time.
+    by `_full_subsets`, so the scan holds one block at a time.
     """
     _check_bound(C)
     rep = MetricReport(nonnegative=True, symmetric=True, triangle=True)
-    dense = T.dense
     # NaN (unsampled) compares false
-    if (dense < 0).any():
+    if (T.dense < 0).any():
         rep.nonnegative = False
-    order = T.order
-    # the tails of every block: increasing order-tuples over 1..size-1,
-    # lexicographic, so the tails above index i form a suffix
-    tails = np.array(list(combinations(range(1, T.size), order)),
-                     dtype=np.intp).reshape(-1, order)
-    # role r leaves out subset position order - r, matching the order
-    # of combinations(subset, order)
-    roles = np.array([[p for p in range(order + 1) if p != order - r]
-                      for r in range(order + 1)], dtype=np.intp)
+    roles = _roles(T.order)
     best: float | None = None
-    for first in range(T.size - order):
-        block = tails[np.searchsorted(tails[:, 0], first, side="right"):]
-        subsets = np.column_stack([np.full(len(block), first, dtype=np.intp), block])
-        vals = np.column_stack([dense[tuple(subsets[:, p] for p in cols)]
-                                for cols in roles])
-        full = ~np.isnan(vals).any(axis=1)
-        subsets, vals = subsets[full], vals[full]
+    for subsets, vals in _full_subsets(T):
         rep.n_checked += vals.size
         rhs = _face_rhs(vals)
         lhs = C * vals
@@ -428,6 +442,29 @@ def check_W_tensor(T: DistanceTensor, C: float = 1.0) -> MetricReport:
     return rep
 
 
+# rejection draws per batch in inject_violations: 2048 rows of 7 int64 draws,
+# about 0.25 MB of scratch arrays at a time
+_DRAW_BATCH = 2048
+
+
+def _draw_4subsets(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """`count` successive sorted `rng.choice(n, 4, replace=False)` draws as rows, in one call.
+
+    numpy's Generator draws a sample this small by Floyd's algorithm: one
+    bounded draw on [0, j] for each j = n-4 .. n-1, a value already picked
+    replaced by j, then a shuffle drawing on [0, 3], [0, 2] and [0, 1].
+    `rng.integers` makes the same seven draws from the same stream, so the
+    rows and the final generator state equal the scalar loop's.  Sorting
+    makes the shuffle's order irrelevant; its draws are still made.
+    """
+    draws = rng.integers(0, np.array([n - 3, n - 2, n - 1, n, 4, 3, 2]), size=(count, 7))
+    picks = draws[:, :4]
+    for c in range(1, 4):
+        seen = (picks[:, :c] == picks[:, c:c + 1]).any(axis=1)
+        picks[:, c] = np.where(seen, n - 4 + c, picks[:, c])
+    return np.sort(picks, axis=1)
+
+
 def inject_violations(
     T: DistanceTensor,
     rng: np.random.Generator,
@@ -442,10 +479,18 @@ def inject_violations(
     locked against later rewrites: raising a triple that sits on the
     right-hand side of an earlier violation would shrink that violation's
     margin, possibly erasing it.  Raises too small to clear the audit
-    slack are skipped.  The fraction counts sampled entries.
+    slack are skipped.  The fraction counts sampled entries.  It gives up
+    after 10,000 draws per target rewrite.
+
+    The 4-subsets are drawn in batches by `_draw_4subsets`, so each draw,
+    the output and the generator's final state are those of one
+    `rng.choice(T.size, 4, replace=False)` per draw.
     """
     if T.order != 3:
         raise ValueError("inject_violations needs an order-3 tensor")
+    if T.size < 4:
+        raise ValueError(f"inject_violations needs at least 4 objects to draw "
+                         f"4-subsets from, got {T.size}")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     if not (math.isfinite(factor) and factor > 1.0):
@@ -455,39 +500,57 @@ def inject_violations(
     if target == 0:
         return out
     locked: set[tuple[int, ...]] = set(out.modified)
+    # rewrites keep every entry sampled, so this mask says which subsets are full
+    sampled = ~np.isnan(out.dense)
     done = 0
     attempts = 0
     max_attempts = 10_000 * max(target, 1)
     while done < target:
-        attempts += 1
-        if attempts > max_attempts:
+        if attempts == max_attempts:
+            n_full = sum(len(subsets) for subsets, _ in _full_subsets(out))
             raise ValueError(
-                f"could not find enough fully sampled 4-subsets "
+                f"could not find enough fully sampled 4-subsets in {max_attempts} draws; "
+                f"{n_full} of the tensor's {math.comb(T.size, 4)} 4-subsets are fully sampled "
                 f"(modified {done} of {target}); sample the tensor with --sampling blocks")
-        subset = tuple(sorted(rng.choice(T.size, size=4, replace=False).tolist()))
-        triples = list(combinations(subset, 3))
-        # rewrites keep every entry sampled, so the tensor says which subsets are full
-        if any(math.isnan(out.dense[t]) for t in triples):
-            continue
-        vals = out.dense[tuple(np.array(triples).T)]
-        # delta is the raise putting this triple level with the other three;
-        # the post-raise margin is (factor-1)*delta, which must beat the
-        # slack check_W_tensor grants
-        deltas = dict(zip(triples, (_face_rhs(vals[None])[0] - vals).tolist()))
-        free = [t for t in triples
-                if t not in locked
-                and (factor - 1.0) * deltas[t] > 10.0 * TRIANGLE_SLACK]
-        if not free:
-            continue
-        t_min = min(free, key=lambda t: (deltas[t], t))
-        raised = out.dense[t_min] + factor * deltas[t_min]
-        if not math.isfinite(raised):
-            raise ValueError(f"raising triple {t_min} by factor {factor} "
-                             f"gives {raised}, not a finite value")
-        out.dense[t_min] = raised
-        out.modified.add(t_min)
-        locked.update(triples)
-        done += 1
+        # the state before each batch lets the generator be rewound to where
+        # the draw-by-draw loop stops: after the draw that met the target or raised
+        state = rng.bit_generator.state
+        count = min(_DRAW_BATCH, max_attempts - attempts)
+        subsets = _draw_4subsets(rng, T.size, count)
+        a, b, c, d = subsets.T
+        full = sampled[a, b, c] & sampled[a, b, d] & sampled[a, c, d] & sampled[b, c, d]
+        used = count
+        try:
+            for k in np.flatnonzero(full).tolist():
+                triples = list(combinations(subsets[k].tolist(), 3))
+                vals = out.dense[tuple(np.array(triples).T)]
+                # delta is the raise putting this triple level with the other three;
+                # the post-raise margin is (factor-1)*delta, which must beat the
+                # slack check_W_tensor grants
+                deltas = dict(zip(triples, (_face_rhs(vals[None])[0] - vals).tolist()))
+                free = [t for t in triples
+                        if t not in locked
+                        and (factor - 1.0) * deltas[t] > 10.0 * TRIANGLE_SLACK]
+                if not free:
+                    continue
+                t_min = min(free, key=lambda t: (deltas[t], t))
+                raised = out.dense[t_min] + factor * deltas[t_min]
+                if not math.isfinite(raised):
+                    used = k + 1
+                    raise ValueError(f"raising triple {t_min} by factor {factor} "
+                                     f"gives {raised}, not a finite value")
+                out.dense[t_min] = raised
+                out.modified.add(t_min)
+                locked.update(triples)
+                done += 1
+                if done == target:
+                    used = k + 1
+                    break
+        finally:
+            if used < count:
+                rng.bit_generator.state = state
+                _draw_4subsets(rng, T.size, used)
+        attempts += used
     return out
 
 

@@ -342,6 +342,17 @@ class TestExperimentCommands:
         assert rc == 2
         assert "needs an order-3 tensor" in err
 
+    def test_inject_refuses_a_tensor_over_three_objects(self, tmp_path, capsys):
+        tensor = tmp_path / "three.csv"
+        tensor.write_text("0,1,2,1.0,1\n")
+        out, report = tmp_path / "inj.csv", tmp_path / "inj.json"
+        rc, _, err = run(["inject", "--seed", "5", "--tensor", str(tensor),
+                          "--out", str(out), "--report", str(report)], capsys)
+        assert rc == 2
+        assert err == ("error: inject_violations needs at least 4 objects to draw "
+                       "4-subsets from, got 3\n")
+        assert not out.exists() and not report.exists()
+
     @pytest.mark.parametrize("factor", ["inf", "nan"])
     def test_inject_rejects_a_non_finite_factor(self, tmp_path, capsys, factor):
         tensor = tmp_path / "four.csv"

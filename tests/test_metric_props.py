@@ -21,6 +21,7 @@ from mmot.metric_props import (
 from mmot import metric_props
 from mmot.cli import main
 from mmot.constructions import collinear_instance
+from mmot.experiments import _blocked_triples
 from mmot.transport import SENTINEL_COST, PairwiseCost, euclidean_cost, pairwise_mmot
 
 import atom_oracle
@@ -664,6 +665,139 @@ class TestInjectViolations:
         out = inject_violations(T, np.random.default_rng(1), fraction=0.0, factor=1.3)
         assert out.values == T.values
         assert not out.modified
+
+    def test_fewer_than_four_objects_refused_before_any_draw(self):
+        T = DistanceTensor(3, 3)
+        T.set((0, 1, 2), 1.0)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"needs at least 4 objects to draw "
+                                             r"4-subsets from, got 3$"):
+            inject_violations(T, rng, fraction=0.2, factor=1.3)
+        assert rng.bit_generator.state == before
+
+    def test_give_up_counts_the_fully_sampled_subsets(self):
+        # {0, 1, 2, 3} and {0, 1, 2, 4} are full; {0, 1, 3, 4} lacks (1, 3, 4)
+        T = DistanceTensor(3, 6)
+        for key in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+                    (0, 1, 4), (0, 2, 4), (1, 2, 4), (0, 3, 4)]:
+            T.set(key, 0.0)
+        with pytest.raises(ValueError, match=r"^could not find enough fully sampled 4-subsets "
+                                             r"in 20000 draws; 2 of the tensor's 15 4-subsets "
+                                             r"are fully sampled "
+                                             r"\(modified 0 of 2\); "):
+            # every entry is 0, so no raise clears the audit slack
+            inject_violations(T, np.random.default_rng(0), fraction=0.2, factor=1.3)
+
+    def test_a_refused_raise_leaves_the_generator_after_its_draw(self):
+        # every subset is full and strictly metric, so the first draw raises
+        T = metric_tensor(6)
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        with pytest.raises(ValueError, match="not a finite value"):
+            inject_violations(T, rng, fraction=0.2, factor=1e308)
+        ref.choice(6, size=4, replace=False)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class CountingRng:
+    """A Generator's `choice`, the oracle's one draw, counting its calls."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def choice(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.choice(*args, **kwargs)
+
+
+def perimeter_pair(keys, pts):
+    """The order-3 tensor over `keys` as (DistanceTensor, DictTensor).
+
+    Each triple holds the perimeter of its points in the plane, so every
+    fully sampled 4-subset meets the C=1 bound with slack.
+    """
+    T, ref = DistanceTensor(3, len(pts)), DictTensor(3, len(pts))
+    for key in keys:
+        per = float(sum(np.linalg.norm(pts[a] - pts[b]) for a, b in combinations(key, 2)))
+        T.set(key, per)
+        ref.set(key, per)
+    return T, ref
+
+
+def blocked_pair(n, budget, seed):
+    """A `--sampling blocks` sparse tensor of perimeters as (DistanceTensor, DictTensor)."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1, 1, size=(n, 2))
+    return perimeter_pair(_blocked_triples(n, budget, rng), pts)
+
+
+def inject_both(T, ref, seed, **kwargs):
+    """Run inject_violations and inject_oracle from one seed and require equal results.
+
+    Results, modified sets and final generator states must match, a give-up
+    included; returns both results (None on a give-up) and the oracle's draws.
+    """
+    rng, ref_rng = np.random.default_rng(seed), CountingRng(seed)
+    outcomes = []
+    for inject, tensor, gen in ((inject_violations, T, rng), (inject_oracle, ref, ref_rng)):
+        try:
+            outcomes.append(inject(tensor, gen, **kwargs))
+        except ValueError as exc:
+            assert str(exc).startswith("could not find enough fully sampled 4-subsets")
+            outcomes.append(None)
+    got, want = outcomes
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.values == want.values
+        assert got.modified == want.modified
+    assert rng.bit_generator.state == ref_rng.rng.bit_generator.state
+    return got, want, ref_rng.draws
+
+
+class TestBatchedDraws:
+    """The batched rejection draws are the scalar rng.choice loop's, draw for draw."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 11, 35, 64, 199, 215])
+    def test_draw_4subsets_matches_choice(self, n):
+        for seed in range(20):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            # successive calls of several sizes continue one stream
+            for count in (1, 3, 50, 1, 200):
+                got = metric_props._draw_4subsets(rng, n, count)
+                want = [sorted(ref.choice(n, size=4, replace=False).tolist())
+                        for _ in range(count)]
+                assert got.tolist() == want
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_inject_matches_oracle_on_blocked_tensors(self):
+        draws = []
+        for n, budget, seed in [(20, 40, 0), (20, 40, 1), (27, 48, 2), (35, 60, 3)]:
+            T, ref = blocked_pair(n, budget, seed)
+            got, _, n_draws = inject_both(T, ref, seed, fraction=0.2, factor=1.3)
+            assert got is not None and got.modified
+            draws.append(n_draws)
+        # the draws span several batches, and the last one is rewound
+        assert max(draws) > 3 * metric_props._DRAW_BATCH
+        assert all(d % metric_props._DRAW_BATCH for d in draws)
+
+    def test_give_up_leaves_the_oracles_state(self):
+        # one full 4-subset against a target of 2: once it is rewritten the
+        # draws find nothing, and the give-up comes after exactly 20,000 draws
+        keys = list(combinations(range(4), 3)) + [(3 * i + 4, 3 * i + 5, 3 * i + 6)
+                                                  for i in range(6)]
+        T, ref = perimeter_pair(keys, np.random.default_rng(5).uniform(-1, 1, size=(25, 2)))
+        assert math.ceil(0.2 * T.n_sampled) == 2
+        got, _, n_draws = inject_both(T, ref, 5, fraction=0.2, factor=1.3)
+        assert got is None
+        assert n_draws == 20_000
+
+    def test_second_injection_keeps_prior_rewrites_locked(self):
+        T, ref = blocked_pair(24, 60, 6)
+        first, first_ref, _ = inject_both(T, ref, 6, fraction=0.1, factor=1.3)
+        second, _, _ = inject_both(first, first_ref, 7, fraction=0.2, factor=1.3)
+        assert first.modified < second.modified
+        assert all(second.values[t] == first.values[t] for t in first.modified)
 
 
 class TestNoGluingCheck:
