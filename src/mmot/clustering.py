@@ -37,48 +37,23 @@ KMEANS_MAX_ITER = 300
 KMEANS_RESTARTS = 10
 
 
-@dataclass(frozen=True, eq=False)
 class Hypergraph3:
-    """3-uniform hypergraph; each hyperedge carries a distance weight.
+    """The 3-uniform hypergraph of an order-3 tensor at a distance threshold.
 
-    `edges` is an (m, 3) integer array of vertex indices, one increasing
-    row per hyperedge, and `weights` the (m,) array of their distances.
+    `edges` is the (m, 3) integer array of the sampled keys whose distance
+    is at most the threshold, increasing rows in lexicographic order, and
+    `weights` the (m,) array of those distances.  Every key and value has
+    passed the tensor's own checks, so the view adds none.
     """
 
-    n: int
-    edges: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"need at least one node, got {self.n}")
-        idx = np.asarray(self.edges)
-        w = np.asarray(self.weights, dtype=float)
-        if idx.ndim != 2 or idx.shape[1] != 3:
-            raise ValueError("every hyperedge needs exactly three vertices")
-        if w.shape != (len(idx),):
-            raise ValueError(f"need one weight per hyperedge, got {w.shape} for {len(idx)}")
-        object.__setattr__(self, "edges", idx)
-        object.__setattr__(self, "weights", w)
-        bad_range = ~((0 <= idx[:, 0]) & (idx[:, 0] < idx[:, 1])
-                      & (idx[:, 1] < idx[:, 2]) & (idx[:, 2] < self.n))
-        # codes are unique among in-range triples; a clash with an
-        # out-of-range triple flags only edges after that failing one
-        code = (idx[:, 0] * self.n + idx[:, 1]) * self.n + idx[:, 2]
-        duplicate = np.ones(len(code), dtype=bool)
-        duplicate[np.unique(code, return_index=True)[1]] = False
-        bad_weight = ~(np.isfinite(w) & (w >= 0.0))
-        bad = np.nonzero(bad_range | duplicate | bad_weight)[0]
-        if bad.size:
-            # name the first bad hyperedge, testing range, then duplicate,
-            # then weight, as an edge-by-edge scan would
-            e = bad[0]
-            edge, wt = tuple(idx[e].tolist()), float(w[e])
-            if bad_range[e]:
-                raise ValueError(f"hyperedge {edge} not strictly increasing in range")
-            if duplicate[e]:
-                raise ValueError(f"duplicate hyperedge {edge}")
-            raise ValueError(f"hyperedge {edge} has invalid weight {wt}")
+    def __init__(self, T: DistanceTensor, threshold: float) -> None:
+        if T.order != 3:
+            raise ValueError(f"need an order-3 tensor, got order {T.order}")
+        keys, weights = T.sampled_entries()
+        keep = weights <= threshold
+        self.n = T.size
+        self.edges = keys[keep]
+        self.weights = weights[keep]
 
     @property
     def num_edges(self) -> int:
@@ -105,14 +80,11 @@ class ClusteringSolution:
 
 
 def build_hypergraph(T: DistanceTensor, threshold: float) -> Hypergraph3:
-    """Keep sampled triples whose distance is at most the threshold."""
-    if T.order != 3:
-        raise ValueError(f"need an order-3 tensor, got order {T.order}")
-    keys, weights = T.sampled_entries()
-    keep = weights <= threshold
-    if not keep.any():
+    """The hypergraph of T at the threshold; at least one hyperedge must survive."""
+    h = Hypergraph3(T, threshold)
+    if h.num_edges == 0:
         raise ValueError(f"no hyperedges survive threshold {threshold}")
-    return Hypergraph3(T.size, keys[keep], weights[keep])
+    return h
 
 
 def _affinities(weights: np.ndarray) -> np.ndarray:

@@ -508,10 +508,14 @@ def inject_violations(
     while done < target:
         if attempts == max_attempts:
             n_full = sum(len(subsets) for subsets, _ in _full_subsets(out))
+            n_subsets = math.comb(T.size, 4)
+            hint = ("sample the tensor with --sampling blocks" if n_full < n_subsets else
+                    "every 4-subset is fully sampled, so too few unlocked triples have a "
+                    "raise that clears the audit slack; ask for a lower --fraction")
             raise ValueError(
                 f"could not find enough fully sampled 4-subsets in {max_attempts} draws; "
-                f"{n_full} of the tensor's {math.comb(T.size, 4)} 4-subsets are fully sampled "
-                f"(modified {done} of {target}); sample the tensor with --sampling blocks")
+                f"{n_full} of the tensor's {n_subsets} 4-subsets are fully sampled "
+                f"(modified {done} of {target}); {hint}")
         # the state before each batch lets the generator be rewound to where
         # the draw-by-draw loop stops: after the draw that met the target or raised
         state = rng.bit_generator.state

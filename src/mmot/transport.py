@@ -112,17 +112,19 @@ def marginal_constraints(shape: Sequence[int], cells: np.ndarray,
                         shape=(offset, k))
 
 
-def _solve_coupling(dists: Sequence[DiscreteDistribution], cost: np.ndarray,
-                    ell: int) -> TransportResult:
-    """min over couplings r of <cost^ell, r>, rooted: the one transport LP.
+def mmot(dists: Sequence[DiscreteDistribution], d: np.ndarray, ell: int = 1) -> TransportResult:
+    """General MMOT: min over couplings r of <d^ell, r>, rooted; the one transport LP.
 
-    A cell is blocked when cost^ell >= EFFECTIVELY_INFINITE and never
+    A cell is blocked when d^ell >= EFFECTIVELY_INFINITE and never
     enters the LP, so its magnitude cannot drown the finite costs.  When
     no coupling fits on the open cells the instance is blocked: the value
     is SENTINEL_COST and the coupling is the product of the marginals.
     """
+    if len(dists) < 2:
+        raise ValueError("mmot needs at least two distributions")
+    dists = list(dists)
     ell = check_ell(ell)
-    cost = np.asarray(cost, dtype=float)
+    cost = np.asarray(d, dtype=float)
     shape = tuple(p.size for p in dists)
     if cost.shape != shape:
         raise ValueError(f"cost tensor shape {cost.shape} does not match supports {shape}")
@@ -163,13 +165,6 @@ def wasserstein(
     return mmot([p1, p2], d, ell)
 
 
-def mmot(dists: Sequence[DiscreteDistribution], d: np.ndarray, ell: int = 1) -> TransportResult:
-    """General MMOT: one LP over the n-way coupling with cost d^ell."""
-    if len(dists) < 2:
-        raise ValueError("mmot needs at least two distributions")
-    return _solve_coupling(list(dists), d, ell)
-
-
 def _summed_cost(dists: Sequence[DiscreteDistribution], d: PairwiseCost) -> np.ndarray:
     shape = tuple(p.size for p in dists)
     n = len(dists)
@@ -192,7 +187,7 @@ def pairwise_mmot(
         raise ValueError("pairwise MMOT supports ell=1 only; the ell>1 objective is not an LP")
     if len(dists) < 2:
         raise ValueError("pairwise_mmot needs at least two distributions")
-    res = _solve_coupling(list(dists), _summed_cost(dists, d), 1)
+    res = mmot(dists, _summed_cost(dists, d), 1)
     if res.effectively_infinite:
         return res
     terms = {}

@@ -1,5 +1,6 @@
 """Clustering pipeline: hypergraphs, spectral methods, k-means, error metric."""
 
+import math
 import re
 from itertools import combinations, permutations, product
 
@@ -68,9 +69,11 @@ def block_tensor(sizes, inner=0.1, outer=5.0, seed=0):
 
 
 def hypergraph(n, hyperedges):
-    """Hypergraph3 from the tuple form ((i, j, k), weight), ..."""
-    edges = np.array([e for e, _ in hyperedges], dtype=np.int64).reshape(-1, 3)
-    return Hypergraph3(n, edges, np.array([w for _, w in hyperedges], dtype=float))
+    """Hypergraph3 over n objects from the tuple form ((i, j, k), weight), ..."""
+    T = DistanceTensor(3, n)
+    for key, w in hyperedges:
+        T.set(key, w)
+    return Hypergraph3(T, math.inf)
 
 
 def clique_adjacency_oracle(h):
@@ -102,22 +105,8 @@ def pair_affinity_oracle(D):
     return A
 
 
-def hypergraph_validation_oracle(n, hyperedges):
-    """Hypergraph3's checks edge by edge; the message of the first failure."""
-    seen = set()
-    for (i, j, k), w in hyperedges:
-        if not 0 <= i < j < k < n:
-            return f"hyperedge {(i, j, k)} not strictly increasing in range"
-        if (i, j, k) in seen:
-            return f"duplicate hyperedge {(i, j, k)}"
-        seen.add((i, j, k))
-        if not (np.isfinite(w) and w >= 0.0):
-            return f"hyperedge {(i, j, k)} has invalid weight {w}"
-    return None
-
-
 def random_hypergraph(n, m, rng):
-    """m distinct triples with full-mantissa weights, in random order."""
+    """m distinct triples, picked at random, with full-mantissa weights."""
     triples = list(combinations(range(n), 3))
     pick = rng.choice(len(triples), size=m, replace=False)
     return hypergraph(n, tuple((triples[t], float(rng.uniform(0.0, 4.0))) for t in pick))
@@ -350,54 +339,13 @@ class TestHypergraph:
         with pytest.raises(ValueError):
             build_hypergraph(T, threshold=0.0)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            hypergraph(3, ((((0, 0, 1)), 1.0),))
-        with pytest.raises(ValueError):
-            hypergraph(3, (((0, 1, 2), -1.0),))
-        with pytest.raises(ValueError, match="one weight per hyperedge"):
-            Hypergraph3(3, np.array([[0, 1, 2]]), np.ones(2))
-
-    @pytest.mark.parametrize("edges,named", [
-        ((((0, 1, 2), 1.0), ((1, 2, 5), 1.0)), r"\(1, 2, 5\) not strictly increasing"),
-        ((((0, 1, 2), 1.0), ((-1, 1, 2), 1.0)), r"\(-1, 1, 2\) not strictly increasing"),
-        ((((0, 1, 3), 1.0), ((0, 1, 2), 2.0), ((0, 1, 3), 1.0)), r"duplicate hyperedge \(0, 1, 3\)"),
-        ((((0, 1, 2), 1.0), ((1, 2, 3), float("nan"))), r"\(1, 2, 3\) has invalid weight nan"),
-        ((((0, 1, 2), float("inf")),), r"\(0, 1, 2\) has invalid weight inf"),
-        # the first bad hyperedge is named, whatever its fault
-        ((((0, 1, 2), -2.0), ((0, 1, 9), 1.0)), r"\(0, 1, 2\) has invalid weight -2.0"),
-        ((((0, 1, 2), 1.0), ((0, 1, 2), 1.0), ((0, 1, 9), 1.0)), r"duplicate hyperedge \(0, 1, 2\)"),
-    ])
-    def test_validation_names_the_first_bad_edge(self, edges, named):
-        with pytest.raises(ValueError, match=named) as err:
-            hypergraph(5, edges)
-        assert str(err.value) == hypergraph_validation_oracle(5, edges)
-
-    def test_hyperedges_need_three_vertices(self):
-        for width in (2, 4):
-            with pytest.raises(ValueError, match="three vertices"):
-                Hypergraph3(9, np.arange(2 * width).reshape(2, width), np.ones(2))
-
-    def test_validation_matches_edge_by_edge_scan(self):
-        rng = np.random.default_rng(13)
-        triples = list(combinations(range(5), 3)) + [(0, 0, 1), (2, 1, 3), (0, 1, 5), (-1, 0, 1)]
-        p_triple = [0.09] * 10 + [0.025] * 4
-        weights = [1.0, 0.0, -1.0, np.nan, np.inf]
-        faults = set()
-        for _ in range(300):
-            edges = tuple((triples[rng.choice(len(triples), p=p_triple)],
-                           float(rng.choice(weights, p=[0.8, 0.05, 0.05, 0.05, 0.05])))
-                          for _ in range(int(rng.integers(1, 7))))
-            want = hypergraph_validation_oracle(5, edges)
-            faults.add(want and next(k for k in ("range", "duplicate", "weight") if k in want))
-            if want is None:
-                assert hypergraph(5, edges).num_edges == len(edges)
-            else:
-                with pytest.raises(ValueError) as err:
-                    hypergraph(5, edges)
-                assert str(err.value) == want
-        # valid inputs and every kind of fault came up
-        assert faults == {None, "range", "duplicate", "weight"}
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_only_an_order_3_tensor_has_a_hypergraph(self, order):
+        T = DistanceTensor(order, 5)
+        T.set(range(order), 1.0)
+        for make in (Hypergraph3, build_hypergraph):
+            with pytest.raises(ValueError, match=f"^need an order-3 tensor, got order {order}$"):
+                make(T, math.inf)
 
 
 class TestDenseMatchesDictOracle:
@@ -431,12 +379,20 @@ class TestDenseMatchesDictOracle:
                     with pytest.raises(ValueError) as err:
                         build_hypergraph(T, th)
                     assert str(err.value) == str(exc)
-                    continue
-                h = build_hypergraph(T, th)
-                assert h.n == ref.size
-                assert h.edges.tolist() == [list(key) for key, _ in want]
-                assert h.weights.tolist() == [w for _, w in want]
-                survived += h.num_edges
+                    if T.order != 3:
+                        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                            Hypergraph3(T, th)
+                        continue
+                    # the view may be empty; only build_hypergraph refuses it
+                    want, views = (), (Hypergraph3(T, th),)
+                else:
+                    views = (Hypergraph3(T, th), build_hypergraph(T, th))
+                for h in views:
+                    assert h.n == ref.size
+                    assert h.edges.shape == (len(want), 3)
+                    assert h.edges.tolist() == [list(key) for key, _ in want]
+                    assert h.weights.tolist() == [w for _, w in want]
+                survived += len(want)
         assert survived > 0
 
 
@@ -457,7 +413,7 @@ class TestTTMAndNHCut:
 
     @pytest.mark.parametrize("method", [ttm, nhcut])
     def test_no_hyperedges_isolates_every_vertex(self, method):
-        h = Hypergraph3(4, np.zeros((0, 3), int), np.zeros(0))
+        h = Hypergraph3(DistanceTensor(3, 4), 0.0)
         with pytest.raises(ValueError, match=re.escape("isolated vertices: [0, 1, 2, 3]")):
             method(h, 2, rng=np.random.default_rng(0))
 

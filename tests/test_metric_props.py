@@ -689,6 +689,18 @@ class TestInjectViolations:
             # every entry is 0, so no raise clears the audit slack
             inject_violations(T, np.random.default_rng(0), fraction=0.2, factor=1.3)
 
+    def test_a_full_tensor_gives_up_with_a_lower_fraction_hint(self):
+        # every 4-subset is full, so blocks sampling could add none; the
+        # locks leave too few raisable triples for 10 rewrites
+        T = metric_tensor(5)
+        with pytest.raises(ValueError) as err:
+            inject_violations(T, np.random.default_rng(0), fraction=1.0, factor=1.3)
+        assert str(err.value) == (
+            "could not find enough fully sampled 4-subsets in 100000 draws; "
+            "5 of the tensor's 5 4-subsets are fully sampled (modified 4 of 10); "
+            "every 4-subset is fully sampled, so too few unlocked triples have a raise "
+            "that clears the audit slack; ask for a lower --fraction")
+
     def test_a_refused_raise_leaves_the_generator_after_its_draw(self):
         # every subset is full and strictly metric, so the first draw raises
         T = metric_tensor(6)
