@@ -5,8 +5,10 @@ distances feed two hypergraph methods: TTM's tensor contraction and the
 normalized hypergraph Laplacian behind NH-Cut.  One clique expansion
 builds the affinity matrix of all three.  Distances become
 affinities through exp(-w/sigma) with sigma the median surviving
-weight, so no per-dataset scale knob exists.  All randomness flows
-through an explicit generator and runs repeat bit for bit.
+weight, so no per-dataset scale knob exists.  Each clusterer is a
+deterministic embedding followed by k-means, so threshold tuning embeds
+each gridpoint once for all trials.  All randomness flows through an
+explicit generator and runs repeat bit for bit.
 """
 from __future__ import annotations
 
@@ -25,11 +27,16 @@ __all__ = [
     "Hypergraph3",
     "ClusteringSolution",
     "build_hypergraph",
+    "ThresholdTuning",
+    "ttm_embedding",
+    "nhcut_embedding",
+    "spectral_embedding",
     "ttm",
     "nhcut",
     "spectral_cluster",
     "kmeans",
     "clustering_error",
+    "trial_errors",
     "tune_threshold",
 ]
 
@@ -107,10 +114,9 @@ def _clique(n: int, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
                        minlength=n * n).reshape(n, n)
 
 
-def _spectral_labels(M: np.ndarray, d: np.ndarray, support: np.ndarray, k: int,
-                     rng: np.random.Generator,
-                     random_walk: bool) -> ClusteringSolution:
-    """k-means on the k smallest eigenvectors of L = I - D^-1/2 M D^-1/2.
+def _embedding(M: np.ndarray, d: np.ndarray, support: np.ndarray, k: int,
+               random_walk: bool) -> np.ndarray:
+    """The k smallest eigenvectors of L = I - D^-1/2 M D^-1/2, one row per vertex.
 
     The support graph must reach every vertex and split into at most k
     components.  Pairwise clustering maps the symmetric eigenvectors
@@ -126,32 +132,31 @@ def _spectral_labels(M: np.ndarray, d: np.ndarray, support: np.ndarray, k: int,
     L = np.eye(len(d)) - dinv[:, None] * M * dinv[None, :]
     _, vecs = eig_symmetric(L, k)
     if random_walk:
-        return kmeans(dinv[:, None] * vecs, k, rng)
+        return dinv[:, None] * vecs
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-    return kmeans(vecs / np.maximum(norms, 1e-300), k, rng)
+    return vecs / np.maximum(norms, 1e-300)
 
 
-def ttm(h: Hypergraph3, k: int, rng: np.random.Generator) -> ClusteringSolution:
-    """Tensor-trace maximization: contract the affinity tensor, then spectral."""
+def ttm_embedding(h: Hypergraph3, k: int) -> np.ndarray:
+    """Tensor-trace maximization's embedding: contract the affinity tensor, then spectral."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     A = _clique(h.n, h.edges, h.weights)
-    return _spectral_labels(A, A.sum(axis=1), A > 0.0, k, rng, random_walk=False)
+    return _embedding(A, A.sum(axis=1), A > 0.0, k, random_walk=False)
 
 
-def nhcut(h: Hypergraph3, k: int, rng: np.random.Generator) -> ClusteringSolution:
-    """Normalized hypergraph cut via the incidence-based Laplacian."""
+def nhcut_embedding(h: Hypergraph3, k: int) -> np.ndarray:
+    """Normalized hypergraph cut's embedding via the incidence-based Laplacian."""
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
     # 3-uniform incidence H: H diag(w/3) H^T = (A + diag(Hw))/3, Hw = A's row sums / 2
     A = _clique(h.n, h.edges, h.weights)
     d = A.sum(axis=1) / 2.0
-    return _spectral_labels(A / 3.0 + np.diag(d / 3.0), d, A > 0.0, k, rng,
-                            random_walk=False)
+    return _embedding(A / 3.0 + np.diag(d / 3.0), d, A > 0.0, k, random_walk=False)
 
 
-def spectral_cluster(D: DistanceTensor, k: int, rng: np.random.Generator) -> ClusteringSolution:
-    """Random-walk spectral clustering on a sampled pairwise tensor.
+def spectral_embedding(D: DistanceTensor, k: int) -> np.ndarray:
+    """The random-walk spectral embedding of a sampled pairwise tensor.
 
     Unsampled pairs contribute zero affinity.
     """
@@ -160,7 +165,22 @@ def spectral_cluster(D: DistanceTensor, k: int, rng: np.random.Generator) -> Clu
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     A = _clique(D.size, *D.sampled_entries())
-    return _spectral_labels(A, A.sum(axis=1), A > 0.0, k, rng, random_walk=True)
+    return _embedding(A, A.sum(axis=1), A > 0.0, k, random_walk=True)
+
+
+def ttm(h: Hypergraph3, k: int, rng: np.random.Generator) -> ClusteringSolution:
+    """Tensor-trace maximization: k-means on `ttm_embedding`."""
+    return kmeans(ttm_embedding(h, k), k, rng)
+
+
+def nhcut(h: Hypergraph3, k: int, rng: np.random.Generator) -> ClusteringSolution:
+    """Normalized hypergraph cut: k-means on `nhcut_embedding`."""
+    return kmeans(nhcut_embedding(h, k), k, rng)
+
+
+def spectral_cluster(D: DistanceTensor, k: int, rng: np.random.Generator) -> ClusteringSolution:
+    """Random-walk spectral clustering: k-means on `spectral_embedding`."""
+    return kmeans(spectral_embedding(D, k), k, rng)
 
 
 def _kmeanspp_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -247,11 +267,10 @@ def _lloyd(points: np.ndarray, seeds: np.ndarray, k: int) -> tuple[np.ndarray, n
     return labels, inertia
 
 
-def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> ClusteringSolution:
-    """Lloyd iterations from k-means++ seeds, best of KMEANS_RESTARTS by inertia.
+def _kmeans_points(points: np.ndarray, k: int) -> np.ndarray:
+    """points as the finite (n, d) float array k-means takes, 1 <= k <= n.
 
-    All seeds are drawn first, in restart order, and Lloyd runs on the
-    stacked restarts; the first restart of least inertia wins.
+    These are all of k-means' refusals, and they come before any draw.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -263,6 +282,16 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> ClusteringSo
         raise ValueError(f"k must be at least 1, got {k}")
     if k > n:
         raise ValueError(f"k={k} exceeds the number of points {n}")
+    return points
+
+
+def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> ClusteringSolution:
+    """Lloyd iterations from k-means++ seeds, best of KMEANS_RESTARTS by inertia.
+
+    All seeds are drawn first, in restart order, and Lloyd runs on the
+    stacked restarts; the first restart of least inertia wins.
+    """
+    points = _kmeans_points(points, k)
     labels, inertia = _lloyd(points, _kmeanspp_seeds(points, k, rng), k)
     return ClusteringSolution(labels=tuple(labels[int(inertia.argmin())].tolist()), k=k)
 
@@ -296,17 +325,41 @@ def clustering_error(pred, truth) -> float:
     return 1.0 - int(conf[rows, cols].sum()) / p.size
 
 
+def trial_errors(points: np.ndarray, truth, k: int,
+                 rngs: Sequence[np.random.Generator]) -> list[float]:
+    """The clustering error of k-means on one embedding with each generator in turn."""
+    return [clustering_error(kmeans(points, k, rng), truth) for rng in rngs]
+
+
+@dataclass(frozen=True)
+class ThresholdTuning:
+    """The outcome of one pass over a threshold grid.
+
+    `best[t]` is the (threshold, error) chosen for generator t, and
+    `gridpoints` holds each gridpoint's threshold, in grid order, with
+    the reason it was refused, or None where it was usable.
+    """
+    best: tuple[tuple[float, float], ...]
+    gridpoints: tuple[tuple[float, str | None], ...]
+
+
 def tune_threshold(
     T: DistanceTensor,
     truth,
-    clusterer: Callable[[DistanceTensor, float], ClusteringSolution],
+    embed: Callable[[DistanceTensor, float], np.ndarray],
+    k: int,
+    rngs: Sequence[np.random.Generator],
     grid: Sequence[float] | None = None,
-) -> tuple[float, float]:
-    """Pick the threshold in the grid that minimizes the clustering error.
+) -> ThresholdTuning:
+    """Pick, per generator, the threshold in the grid that minimizes the clustering error.
 
-    The clusterer is called as clusterer(T, threshold).  Gridpoints where
-    it raises (nothing survives, isolated vertices, too few clusters
-    reachable) are skipped; if every gridpoint fails the last error
+    The grid is walked once.  At each gridpoint embed(T, threshold)
+    builds the embedding, which draws nothing; then every generator in
+    turn runs k-means on it and its labels are scored.  A gridpoint
+    whose embedding is refused (nothing survives, isolated vertices,
+    too many components) or that k-means refuses is skipped and draws
+    from no generator, so each generator sees the draws it would see if
+    tuned alone.  If every gridpoint is refused the last refusal
     propagates.  Ties keep the earliest gridpoint.
     """
     if grid is None:
@@ -314,20 +367,23 @@ def tune_threshold(
         if sampled.size == 0:
             raise ValueError("tensor has no sampled entries to build a grid from")
         grid = np.quantile(sampled, np.linspace(0.1, 1.0, 10)).tolist()
-    grid = list(grid)
+    grid = [float(th) for th in grid]
     if not grid:
         raise ValueError("empty threshold grid")
-    best: tuple[float, float] | None = None
+    best: list[tuple[float, float] | None] = [None] * len(rngs)
+    gridpoints: list[tuple[float, str | None]] = []
     last_exc: Exception | None = None
     for th in grid:
         try:
-            sol = clusterer(T, float(th))
+            points = _kmeans_points(embed(T, th), k)
         except ValueError as exc:
+            gridpoints.append((th, str(exc)))
             last_exc = exc
             continue
-        err = clustering_error(sol, truth)
-        if best is None or err < best[1]:
-            best = (float(th), float(err))
-    if best is None:
+        gridpoints.append((th, None))
+        for t, err in enumerate(trial_errors(points, truth, k, rngs)):
+            if best[t] is None or err < best[t][1]:
+                best[t] = (th, err)
+    if all(why is not None for _, why in gridpoints):
         raise ValueError(f"no feasible threshold in grid: {last_exc}") from last_exc
-    return best
+    return ThresholdTuning(best=tuple(best), gridpoints=tuple(gridpoints))

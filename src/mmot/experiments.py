@@ -28,13 +28,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import hashes
+# perfbench/spans.py traces `build_hypergraph`, `tune_threshold` and
+# `clustering_error` where this module looks them up; it also patches
+# `ttm`, `nhcut` and `spectral_cluster` here, so they stay importable
 from .clustering import (
-    ClusteringSolution,
     build_hypergraph,
     clustering_error,
     nhcut,
+    nhcut_embedding,
     spectral_cluster,
+    spectral_embedding,
+    trial_errors,
     ttm,
+    ttm_embedding,
     tune_threshold,
 )
 from .constructions import collinear_instance, planar_counterexample, triangle_area_cost
@@ -467,33 +473,42 @@ def _truth_labels(corpus: list[CorpusGraph]) -> tuple[int, ...]:
 
 
 def cmd_cluster(config: ExperimentConfig, tensor_path: str) -> tuple[ExperimentReport, str]:
-    """Score the configured clusterer on a tensor file, tuning thresholds per trial."""
+    """Score the configured clusterer on a tensor file, tuning thresholds per trial.
+
+    Every trial has its own k-means generator.  The embedding is built
+    once per threshold gridpoint (once in all for spectral clustering,
+    which has no threshold), so trials differ only in their k-means draws.
+    """
     started = time.monotonic()
     T = DistanceTensor.from_csv(tensor_path)
     needs = 2 if config.clusterer == "spectral" else 3
     if T.order != needs:
         raise ValueError(f"clusterer {config.clusterer!r} needs an order-{needs} "
                          f"tensor, got order {T.order}")
+    if config.clusterer == "spectral" and config.threshold_grid is not None:
+        raise ValueError("config key 'threshold_grid' (--threshold-grid): "
+                         "spectral clustering has no threshold to tune")
     corpus = build_corpus(config)
     if len(corpus) != T.size:
         raise ValueError(f"tensor is over {T.size} objects, corpus has {len(corpus)}")
     truth = _truth_labels(corpus)
     k = len(set(truth))
-    errors: list[float] = []
-    thresholds: list[float | None] = []
-    for trial in range(config.trials):
-        rng = _stream(config.seed, 2 + trial, 0)
-        if config.clusterer == "spectral":
-            sol = spectral_cluster(T, k, rng)
-            errors.append(clustering_error(sol, truth))
-            thresholds.append(None)
-        else:
-            method = ttm if config.clusterer == "ttm" else nhcut
-            def run(tensor: DistanceTensor, th: float) -> ClusteringSolution:
-                return method(build_hypergraph(tensor, th), k, rng)
-            th, err = tune_threshold(T, truth, run, config.threshold_grid)
-            errors.append(err)
-            thresholds.append(th)
+    rngs = [_stream(config.seed, 2 + trial, 0) for trial in range(config.trials)]
+    work: dict = {"clusterings": config.trials}
+    if config.clusterer == "spectral":
+        errors = trial_errors(spectral_embedding(T, k), truth, k, rngs)
+        thresholds: list[float | None] = [None] * config.trials
+    else:
+        embedding = ttm_embedding if config.clusterer == "ttm" else nhcut_embedding
+
+        def embed(tensor: DistanceTensor, th: float) -> np.ndarray:
+            return embedding(build_hypergraph(tensor, th), k)
+
+        tuning = tune_threshold(T, truth, embed, k, rngs, config.threshold_grid)
+        thresholds = [th for th, _ in tuning.best]
+        errors = [err for _, err in tuning.best]
+        work["gridpoints"] = [{"threshold": th, "refused": why}
+                              for th, why in tuning.gridpoints]
     counts, edges = np.histogram(np.array(errors), bins=10, range=(0.0, 1.0))
     report = ExperimentReport(
         backend=config.backend,
@@ -507,7 +522,7 @@ def cmd_cluster(config: ExperimentConfig, tensor_path: str) -> tuple[ExperimentR
         histogram_edges=tuple(float(e) for e in edges),
         histogram_counts=tuple(int(c) for c in counts),
         empirical_C=check_W_tensor(T).empirical_C,
-        work={"clusterings": config.trials},
+        work=work,
     )
     os.makedirs(config.out_dir, exist_ok=True)
     report_path = os.path.join(

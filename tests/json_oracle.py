@@ -18,6 +18,10 @@ def config_json(cfg):
 
 
 def experiment_report_json(rep):
+    work = {"clusterings": rep.work["clusterings"]}
+    if "gridpoints" in rep.work:
+        work["gridpoints"] = [{"threshold": g["threshold"], "refused": g["refused"]}
+                              for g in rep.work["gridpoints"]]
     data = {
         "backend": rep.backend,
         "clusterer": rep.clusterer,
@@ -30,7 +34,7 @@ def experiment_report_json(rep):
         "histogram_edges": list(rep.histogram_edges),
         "histogram_counts": list(rep.histogram_counts),
         "empirical_C": rep.empirical_C,
-        "work": rep.work,
+        "work": work,
     }
     return json.dumps(data, sort_keys=True)
 

@@ -318,6 +318,17 @@ class TestExperimentCommands:
         assert rc == 2
         assert "error:" in err
 
+    def test_spectral_with_a_threshold_grid_exits_2(self, small_cfg, capsys):
+        cfg, out_dir = small_cfg
+        base = ["--config", str(cfg), "--seed", "21", "--backend", "wd_pairwise"]
+        assert run(["distances", *base], capsys)[0] == 0
+        rc, _, err = run(["cluster", *base, "--clusterer", "spectral", "--threshold-grid",
+                          "0.5,1.0", "--tensor", str(out_dir / "tensor_wd_pairwise.csv")],
+                         capsys)
+        assert rc == 2
+        assert "--threshold-grid" in err
+        assert not (out_dir / "report_spectral_wd_pairwise.json").exists()
+
     def test_cluster_checks_the_order_before_building_the_corpus(
             self, small_cfg, tmp_path, capsys, monkeypatch):
         cfg, _ = small_cfg

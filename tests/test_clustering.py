@@ -14,8 +14,12 @@ from mmot.clustering import (
     clustering_error,
     kmeans,
     nhcut,
+    nhcut_embedding,
     spectral_cluster,
+    spectral_embedding,
+    trial_errors,
     ttm,
+    ttm_embedding,
     tune_threshold,
 )
 from mmot import clustering
@@ -23,6 +27,7 @@ from mmot.clustering import _confusion
 from mmot.metric_props import DistanceTensor
 
 import kmeans_oracle
+import tuning_oracle
 from dict_tensor import build_hypergraph_oracle, default_grid_oracle, random_pairs
 
 
@@ -112,12 +117,12 @@ def random_hypergraph(n, m, rng):
     return hypergraph(n, tuple((triples[t], float(rng.uniform(0.0, 4.0))) for t in pick))
 
 
-def spectral_inputs(monkeypatch, method, *args):
-    """The (M, d, support) a clusterer hands to the shared spectral step."""
+def spectral_inputs(monkeypatch, embedding, *args):
+    """The (M, d, support) an embedding hands to the shared spectral step."""
     seen = []
-    monkeypatch.setattr(clustering, "_spectral_labels",
+    monkeypatch.setattr(clustering, "_embedding",
                         lambda M, d, support, *rest, **kw: seen.append((M, d, support)))
-    method(*args, rng=np.random.default_rng(0))
+    embedding(*args)
     return seen[0]
 
 
@@ -127,7 +132,7 @@ class TestOperatorOracles:
         for seed in range(3):
             h = random_hypergraph(n, m, np.random.default_rng(seed))
             A = clique_adjacency_oracle(h)
-            M, d, support = spectral_inputs(monkeypatch, ttm, h, 2)
+            M, d, support = spectral_inputs(monkeypatch, ttm_embedding, h, 2)
             np.testing.assert_array_equal(M, A, strict=True)
             np.testing.assert_array_equal(d, A.sum(axis=1))
             np.testing.assert_array_equal(support, A > 0.0)
@@ -137,7 +142,7 @@ class TestOperatorOracles:
         off = ~np.eye(n, dtype=bool)
         for seed in range(3):
             h = random_hypergraph(n, m, np.random.default_rng(seed))
-            M, d, support = spectral_inputs(monkeypatch, nhcut, h, 2)
+            M, d, support = spectral_inputs(monkeypatch, nhcut_embedding, h, 2)
             # exact: the clique form (A + diag(A 1 / 2)) / 3 of the loop adjacency
             A = clique_adjacency_oracle(h)
             half = A.sum(axis=1) / 2.0
@@ -164,8 +169,8 @@ class TestOperatorOracles:
 
         for seed in range(3):
             h = random_hypergraph(n, m, np.random.default_rng(seed))
-            L_ttm = laplacian(*spectral_inputs(monkeypatch, ttm, h, 2)[:2])
-            L_nhcut = laplacian(*spectral_inputs(monkeypatch, nhcut, h, 2)[:2])
+            L_ttm = laplacian(*spectral_inputs(monkeypatch, ttm_embedding, h, 2)[:2])
+            L_nhcut = laplacian(*spectral_inputs(monkeypatch, nhcut_embedding, h, 2)[:2])
             np.testing.assert_allclose(L_nhcut, 2.0 / 3.0 * L_ttm, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("p_sampled", [1.0, 0.6])
@@ -175,7 +180,7 @@ class TestOperatorOracles:
         for key in combinations(range(D.size), 2):
             if rng.random() < p_sampled:
                 D.set(key, float(rng.uniform(0.0, 3.0)))
-        M, _, _ = spectral_inputs(monkeypatch, spectral_cluster, D, 2)
+        M, _, _ = spectral_inputs(monkeypatch, spectral_embedding, D, 2)
         np.testing.assert_array_equal(M, pair_affinity_oracle(D), strict=True)
 
 
@@ -360,7 +365,7 @@ class TestDenseMatchesDictOracle:
             raise ValueError("recorded")
 
         with pytest.raises(ValueError, match="no feasible threshold"):
-            tune_threshold(T, [0] * T.size, record)
+            tune_threshold(T, [0] * T.size, record, 1, [])
         return seen
 
     def test_default_grid(self):
@@ -454,47 +459,187 @@ class TestSpectralCluster:
 
 
 class TestTuneThreshold:
-    def cluster_fn(self, T, thr):
-        h = build_hypergraph(T, thr)
-        return ttm(h, 3, rng=np.random.default_rng(0))
+    @staticmethod
+    def embed(T, thr):
+        return ttm_embedding(build_hypergraph(T, thr), 3)
+
+    def tune(self, T, labels, grid=None):
+        return tune_threshold(T, labels, self.embed, 3, [np.random.default_rng(0)], grid)
 
     def test_picks_gridpoint_minimizing_error(self):
         T, labels = block_tensor([4, 4, 4], seed=6)
-        thr, err = tune_threshold(T, labels, self.cluster_fn, grid=[100.0])
-        assert thr == 100.0
-        assert err == 0.0
+        assert self.tune(T, labels, grid=[100.0]).best == ((100.0, 0.0),)
 
     def test_failing_gridpoints_are_skipped(self):
         T, labels = block_tensor([4, 4, 4], seed=6)
         # 0.0 keeps nothing and raises inside; the valid point must win
-        thr, err = tune_threshold(T, labels, self.cluster_fn, grid=[0.0, 100.0])
+        (thr, err), = self.tune(T, labels, grid=[0.0, 100.0]).best
         assert thr == 100.0
 
     def test_all_gridpoints_failing_propagates(self):
         T, labels = block_tensor([4, 4, 4], seed=6)
-        with pytest.raises(ValueError):
-            tune_threshold(T, labels, self.cluster_fn, grid=[0.0])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        msg = "no feasible threshold in grid: no hyperedges survive threshold 0.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            tune_threshold(T, labels, self.embed, 3, [rng], grid=[0.0])
+        assert rng.bit_generator.state == state
 
     def test_scoring_error_propagates(self):
-        # only a clusterer failure skips a gridpoint; a labeling of the wrong
-        # length is a bug in the clusterer, not an infeasible threshold
+        # only a refused embedding skips a gridpoint; a labeling of the wrong
+        # length is a bug in the embedding, not an infeasible threshold
         T, labels = block_tensor([4, 4, 4], seed=6)
 
         def short(tensor, th):
-            return ClusteringSolution(tuple([0] * (tensor.size - 1)), 1)
+            return np.zeros((tensor.size - 1, 1))
 
         with pytest.raises(ValueError, match=r"^length mismatch"):
-            tune_threshold(T, labels, short, grid=[50.0, 100.0])
+            tune_threshold(T, labels, short, 3, [np.random.default_rng(0)], grid=[50.0, 100.0])
 
     def test_tie_keeps_earliest_gridpoint(self):
         T, labels = block_tensor([4, 4, 4], seed=6)
-        thr, err = tune_threshold(T, labels, self.cluster_fn, grid=[50.0, 100.0])
+        (thr, err), = self.tune(T, labels, grid=[50.0, 100.0]).best
         assert thr == 50.0
 
     def test_default_grid_uses_sampled_quantiles(self):
         T, labels = block_tensor([4, 4, 4], seed=6)
-        thr, err = tune_threshold(T, labels, self.cluster_fn)
+        (thr, err), = self.tune(T, labels).best
         assert err == 0.0
+
+    def test_every_gridpoint_records_its_fate(self):
+        T, labels = block_tensor([4, 4, 4], seed=6)
+        tuning = self.tune(T, labels, grid=[0.0, 100.0, 0.0])
+        refused = "no hyperedges survive threshold 0.0"
+        assert tuning.gridpoints == ((0.0, refused), (100.0, None), (0.0, refused))
+
+    @pytest.mark.parametrize("points,why", [
+        (np.zeros((2, 1)), "k=3 exceeds the number of points 2"),
+        (np.full((12, 2), np.nan), "points must be a finite 2-d array"),
+    ])
+    def test_kmeans_refusal_refuses_the_gridpoint(self, points, why):
+        T, labels = block_tensor([4, 4, 4], seed=6)
+
+        def embed(tensor, th):
+            return points if th == 0.0 else self.embed(tensor, th)
+
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"^no feasible threshold in grid: {re.escape(why)}$"):
+            tune_threshold(T, labels, embed, 3, [rng], grid=[0.0])
+        assert rng.bit_generator.state == state
+        tuning = tune_threshold(T, labels, embed, 3, [rng], grid=[0.0, 100.0])
+        assert tuning.gridpoints == ((0.0, why), (100.0, None))
+        assert tuning.best == ((100.0, 0.0),)
+
+    def test_no_generators_still_walks_the_grid(self):
+        T, labels = block_tensor([4, 4, 4], seed=6)
+        tuning = tune_threshold(T, labels, self.embed, 3, [], grid=[0.0, 100.0])
+        assert tuning.best == ()
+        assert [why is None for _, why in tuning.gridpoints] == [False, True]
+
+
+HYPERGRAPH_METHODS = [(ttm, ttm_embedding), (nhcut, nhcut_embedding)]
+
+
+def seeded_generators(seed, trials):
+    return [np.random.default_rng([seed, t]) for t in range(trials)]
+
+
+def tune_each_trial_alone(T, truth, method, k, rngs, grid):
+    """The oracle's (threshold, error) per generator, or its message when none is usable."""
+    out = []
+    for rng in rngs:
+        def clusterer(tensor, th, rng=rng):
+            return method(build_hypergraph(tensor, th), k, rng)
+        try:
+            out.append(tuning_oracle.tune_threshold(T, truth, clusterer, grid))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestTuneThresholdMatchesPerTrialOracle:
+    """One pass over the grid equals every trial tuned alone with its own generator."""
+
+    def check(self, T, truth, methods, grid=None, trials=6, seed=0):
+        """Both tunings agree per trial, generator state included; returns the one pass."""
+        method, embedding = methods
+        k = len(set(truth))
+        oracle_rngs = seeded_generators(seed, trials)
+        want = tune_each_trial_alone(T, truth, method, k, oracle_rngs, grid)
+        rngs = seeded_generators(seed, trials)
+
+        def embed(tensor, th):
+            return embedding(build_hypergraph(tensor, th), k)
+
+        try:
+            tuning = tune_threshold(T, truth, embed, k, rngs, grid)
+        except ValueError as exc:
+            assert want == [str(exc)] * trials
+            tuning = None
+        else:
+            assert list(tuning.best) == want
+        for got, ref in zip(rngs, oracle_rngs, strict=True):
+            assert got.bit_generator.state == ref.bit_generator.state
+        return tuning
+
+    @pytest.mark.parametrize("methods", HYPERGRAPH_METHODS)
+    def test_block_tensors_with_refused_gridpoints(self, methods):
+        refusals = set()
+        for seed in range(3):
+            T, labels = block_tensor([4, 4, 4], seed=seed)
+            inner = np.sort(T.sampled_entries()[1])[:12]
+            # nothing survives; part of each block (isolated vertices); every
+            # block (3 components); then more and more cross-block triples
+            grid = [0.05, float(inner[1]), 0.2, 5.02, 5.04, 100.0]
+            two = np.minimum(labels, 1)
+            for truth in (labels, two):
+                tuning = self.check(T, truth, methods, grid, seed=seed)
+                refusals.update(why.split(" ")[0] for _, why in tuning.gridpoints if why)
+        assert refusals == {"no", "isolated", "affinity"}
+
+    @pytest.mark.parametrize("methods", HYPERGRAPH_METHODS)
+    @pytest.mark.parametrize("p_sampled", [0.35, 0.15])
+    def test_random_tensors_on_the_default_grid(self, methods, p_sampled):
+        fates = []
+        for seed in range(4):
+            rng = np.random.default_rng(100 + seed)
+            T = DistanceTensor(3, 12)
+            for key in combinations(range(12), 3):
+                if rng.random() < p_sampled:
+                    T.set(key, float(rng.uniform(0.0, 4.0)))
+            truth = rng.permutation(np.arange(12) % 3)
+            tuning = self.check(T, truth, methods, seed=seed)
+            fates.extend(why is None for _, why in tuning.gridpoints)
+        assert any(fates) and not all(fates)
+
+    @pytest.mark.parametrize("methods", HYPERGRAPH_METHODS)
+    def test_repeated_gridpoints(self, methods):
+        T, labels = block_tensor([4, 4, 4], seed=1)
+        grid = [5.03, 0.2, 5.03, 100.0, 0.0, 0.2, 100.0, 5.03]
+        tuning = self.check(T, np.minimum(labels, 1), methods, grid, trials=8)
+        assert [why is None for _, why in tuning.gridpoints] == [
+            True, False, True, True, False, False, True, True]
+
+    @pytest.mark.parametrize("methods", HYPERGRAPH_METHODS)
+    @pytest.mark.parametrize("grid", [[0.0, 0.05], [0.2, 0.0, 0.2]])
+    def test_all_refused_grid_gives_the_same_message(self, methods, grid):
+        T, labels = block_tensor([4, 4, 4], seed=2)
+        assert self.check(T, np.minimum(labels, 1), methods, grid) is None
+
+    def test_spectral_embeds_once_for_twenty_trials(self):
+        rng = np.random.default_rng(5)
+        truth = np.arange(30) % 5
+        D = DistanceTensor(2, 30)
+        for key in combinations(range(30), 2):
+            D.set(key, float(rng.uniform(0.0, 3.0)))
+        oracle_rngs = seeded_generators(3, 20)
+        want = [clustering_error(spectral_cluster(D, 5, r), truth) for r in oracle_rngs]
+        rngs = seeded_generators(3, 20)
+        assert trial_errors(spectral_embedding(D, 5), truth, 5, rngs) == want
+        assert len(set(want)) > 1
+        for got, ref in zip(rngs, oracle_rngs, strict=True):
+            assert got.bit_generator.state == ref.bit_generator.state
 
 
 class TestClusteringSolution:

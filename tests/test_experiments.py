@@ -26,7 +26,16 @@ from mmot.experiments import (
 )
 from mmot import experiments
 from mmot.cli import main
-from mmot.clustering import ClusteringSolution, tune_threshold
+from mmot.clustering import (
+    build_hypergraph,
+    clustering_error,
+    nhcut,
+    nhcut_embedding,
+    spectral_cluster,
+    ttm,
+    ttm_embedding,
+    tune_threshold,
+)
 from mmot.graphs import complete, cycle, save_graph, signature
 from mmot.metric_props import DistanceTensor, check_W_tensor
 from mmot.transport import (
@@ -39,6 +48,7 @@ from mmot.transport import (
 )
 
 import backend_oracle
+import tuning_oracle
 
 
 class TestSeeds:
@@ -336,9 +346,9 @@ def test_blocked_tuple_is_not_a_distance(tmp_path, monkeypatch):
 
     def record(tensor, th):
         seen.append(th)
-        return ClusteringSolution(tuple([0] * tensor.size), 1)
+        return np.zeros((tensor.size, 1))
 
-    tune_threshold(T, [0] * T.size, record)
+    tune_threshold(T, [0] * T.size, record, 1, [np.random.default_rng(0)])
     assert len(seen) == 10
     assert max(seen) == T.sampled_entries()[1].max() < EFFECTIVELY_INFINITE
 
@@ -469,3 +479,71 @@ class TestPipelineFiles:
         # report json is loadable and self-consistent
         data = json.loads((tmp_path / "report_ttm_mmot_pairwise.json").read_text())
         assert data["median_error"] == report.median_error
+
+
+class TestClusterMatchesPerTrialOracle:
+    """cmd_cluster equals the per-trial loop: each trial tuned alone on its own stream."""
+
+    @staticmethod
+    def config(tmp_path, backend, clusterer, **kw):
+        # every family, so trials disagree and a shared stream would show
+        return ExperimentConfig(seed=7, graphs_per_family=3, top_k=6, backend=backend,
+                                triples_budget=60, sampling="blocks", trials=20,
+                                clusterer=clusterer, out_dir=str(tmp_path), **kw)
+
+    @pytest.mark.parametrize("backend,clusterer,quantiles", [
+        ("mmot_pairwise", "ttm", None),
+        ("mmot_pairwise", "nhcut", None),
+        # repeated gridpoints, out of order
+        ("mmot_pairwise", "ttm", (0.1, 0.5, 0.5, 1.0, 0.3, 0.5)),
+        ("mmot_pairwise", "nhcut", (0.1, 0.5, 0.5, 1.0, 0.3, 0.5)),
+        ("wd_pairwise", "spectral", None),
+    ])
+    def test_errors_thresholds_and_gridpoints(self, tmp_path, backend, clusterer, quantiles):
+        cfg = self.config(tmp_path, backend, clusterer)
+        tensor = cmd_distances(cfg)["tensor"]
+        T = DistanceTensor.from_csv(tensor)
+        values = T.sampled_entries()[1]
+        grid = None if quantiles is None else tuple(np.quantile(values, quantiles).tolist())
+        cfg = dataclasses.replace(cfg, threshold_grid=grid)
+        report, _ = cmd_cluster(cfg, tensor)
+        truth = [cg.label for cg in build_corpus(cfg)]
+        k = len(set(truth))
+        want = []
+        for trial in range(cfg.trials):
+            rng = experiments._stream(cfg.seed, 2 + trial, 0)
+            if clusterer == "spectral":
+                want.append((None, clustering_error(spectral_cluster(T, k, rng), truth)))
+                continue
+            method = ttm if clusterer == "ttm" else nhcut
+
+            def run(tensor, th, method=method, rng=rng):
+                return method(build_hypergraph(tensor, th), k, rng)
+
+            want.append(tuning_oracle.tune_threshold(T, truth, run, grid))
+        assert list(zip(report.thresholds, report.errors)) == want
+        assert len(set(want)) > 1
+        if clusterer == "spectral":
+            assert report.work == {"clusterings": 20}
+            return
+        # each gridpoint's fate is what its embedding alone gives
+        embedding = ttm_embedding if clusterer == "ttm" else nhcut_embedding
+        fates = []
+        for th in grid or np.quantile(values, np.linspace(0.1, 1.0, 10)).tolist():
+            try:
+                embedding(build_hypergraph(T, th), k)
+                fates.append({"threshold": th, "refused": None})
+            except ValueError as exc:
+                fates.append({"threshold": th, "refused": str(exc)})
+        assert report.work == {"clusterings": 20, "gridpoints": fates}
+        assert any(f["refused"] for f in fates) and not all(f["refused"] for f in fates)
+
+    def test_spectral_refuses_a_threshold_grid(self, tmp_path):
+        cfg = ExperimentConfig(seed=7, families=("cycle", "complete"), graphs_per_family=3,
+                               top_k=6, backend="wd_pairwise", clusterer="spectral",
+                               threshold_grid=(0.5, 1.0), out_dir=str(tmp_path))
+        tensor = cmd_distances(cfg)["tensor"]
+        with pytest.raises(ValueError, match=r"^config key 'threshold_grid' \(--threshold-grid\): "
+                                             "spectral clustering has no threshold to tune$"):
+            cmd_cluster(cfg, tensor)
+        assert not (tmp_path / "report_spectral_wd_pairwise.json").exists()

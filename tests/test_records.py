@@ -68,6 +68,11 @@ def random_report(rng):
     clusterer = pick(rng, CLUSTERERS)
     thresholds = tuple(None if clusterer == "spectral" else maybe(rng, float(v))
                        for v in rng.exponential(size=trials))
+    work = {"clusterings": trials}
+    if clusterer != "spectral":
+        reasons = (None, "isolated vertices: [0, 3]", "no hyperedges survive threshold 0.5")
+        work["gridpoints"] = [{"threshold": float(v), "refused": pick(rng, reasons)}
+                              for v in rng.exponential(size=int(rng.integers(1, 11)))]
     return ExperimentReport(
         backend=pick(rng, BACKENDS),
         clusterer=clusterer,
@@ -80,7 +85,7 @@ def random_report(rng):
         histogram_edges=tuple(float(e) for e in edges),
         histogram_counts=tuple(int(c) for c in counts),
         empirical_C=maybe(rng, float(rng.exponential())),
-        work={"clusterings": trials},
+        work=work,
     )
 
 
@@ -117,6 +122,7 @@ class TestToJsonMatchesOracle:
         reports = [random_report(rng) for _ in range(N_RECORDS)]
         assert any(None in rep.thresholds for rep in reports)
         assert any(rep.empirical_C is None for rep in reports)
+        assert any(g["refused"] is None for rep in reports for g in rep.work.get("gridpoints", ()))
         for rep in reports:
             assert rep.to_json() == experiment_report_json(rep)
 
