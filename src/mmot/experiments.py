@@ -367,8 +367,8 @@ def _blocked_triples(n: int, budget: int, rng: np.random.Generator) -> list[tupl
 
 
 def compute_tensor(config: ExperimentConfig,
-                   dists: Sequence[DiscreteDistribution]) -> tuple[DistanceTensor, int]:
-    """Fill a distance tensor over seeded sampled index tuples; also count the solves.
+                   dists: Sequence[DiscreteDistribution]) -> tuple[DistanceTensor, int, int]:
+    """Fill a distance tensor over seeded sampled index tuples; also count solves and iterations.
 
     Each tuple is stored through `DistanceTensor.set` once solved; a blocked one is not.
     """
@@ -387,11 +387,13 @@ def compute_tensor(config: ExperimentConfig,
         picks = rng.choice(len(universe), size=budget, replace=False)
         chosen = [universe[i] for i in sorted(picks.tolist())]
     T = DistanceTensor(order=order, size=n)
+    iterations = 0
     for tup in chosen:
         res = solve([dists[i] for i in tup], config.ell)
+        iterations += res.iterations
         if not res.effectively_infinite:
             T.set(tup, res.value)
-    return T, len(chosen)
+    return T, len(chosen), iterations
 
 
 def _write_json(path: str, data: object) -> None:
@@ -405,7 +407,7 @@ def cmd_distances(config: ExperimentConfig) -> dict:
     started = time.monotonic()
     corpus = build_corpus(config)
     dists = [signature_distribution(signature(cg.graph, config.top_k)) for cg in corpus]
-    T, solves = compute_tensor(config, dists)
+    T, solves, iterations = compute_tensor(config, dists)
     os.makedirs(config.out_dir, exist_ok=True)
     manifest = {
         "config": json.loads(config.to_json()),
@@ -432,6 +434,7 @@ def cmd_distances(config: ExperimentConfig) -> dict:
         "n_graphs": len(corpus),
         "n_sampled": T.n_sampled,
         "transport_solves": solves,
+        "lp_iterations": iterations,
     }
     meta_path = os.path.join(config.out_dir, f"distances_{config.backend}.json")
     _write_json(meta_path, meta)

@@ -6,13 +6,18 @@ Transport constraint systems are rank-deficient; HiGHS removes dependent
 rows and detects inconsistent ones itself.  The simplex returns a basic
 optimal solution, and the same problem gives the same answer on every run.
 
-Each solve builds one model for scipy's HiGHS binding
-(`scipy.optimize._highspy._core`, which scipy's own HiGHS methods drive)
-and runs it in a fresh solver, so no basis carries over between LPs.
+Each solve hands the CSC arrays, costs and bounds to scipy's HiGHS
+binding (`scipy.optimize._highspy._core`, which scipy's own HiGHS
+methods drive) through the array overload of `passModel`, which reads
+the numpy buffers in one call, and runs them in a fresh solver.  A
+solver is never reused: no basis carries over between LPs, so every
+answer depends on its own LP alone, whatever was solved before it.
 An optimal answer must prove itself: the primal point and the row duals
 pass a residual, dual-feasibility and duality-gap check, or the solve
-raises.  A model HiGHS refuses (a coefficient or bound past its infinity,
-say) raises too; it is never reported as infeasible.
+raises.  The check computes A x and A'y from the CSC arrays with numpy,
+summing in the order scipy's sparse products do.  A model HiGHS refuses
+(a coefficient or bound past its infinity, say) raises too; it is never
+reported as infeasible.
 """
 from __future__ import annotations
 
@@ -54,8 +59,21 @@ _OPTIONS.output_flag = False
 _OPTIONS.log_to_console = False
 _OPTIONS.highs_debug_level = _h.HighsDebugLevel.kHighsDebugLevelNone
 
+# the array overload of passModel takes these two as plain ints; the last
+# array it takes is the integrality of each column, all continuous (0)
+_COLWISE = int(_h.MatrixFormat.kColwise)
+_MINIMIZE = int(_h.ObjSense.kMinimize)
+
 _ANSWERS = (_h.HighsModelStatus.kOptimal, _h.HighsModelStatus.kInfeasible,
             _h.HighsModelStatus.kUnbounded)
+
+
+def _frozen_canonical(A) -> bool:
+    """True for a canonical float CSC array that no one can write to, so it needs no copy."""
+    return (isinstance(A, sp.csc_array) and A.dtype == np.float64
+            and not (A.data.flags.writeable or A.indices.flags.writeable
+                     or A.indptr.flags.writeable)
+            and A.has_canonical_format)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,10 +84,11 @@ class LpProblem:
 
     def __init__(self, c, A, b):
         c = np.asarray(c, dtype=float)
-        # HiGHS does not sum duplicate entries; sum_duplicates works in
-        # place, so copy first and leave the caller's arrays alone
-        A = sp.csc_array(A, dtype=float, copy=True)  # raises unless A is a matrix
-        A.sum_duplicates()
+        if not _frozen_canonical(A):
+            # HiGHS does not sum duplicate entries; sum_duplicates works in
+            # place, so copy first and leave the caller's arrays alone
+            A = sp.csc_array(A, dtype=float, copy=True)  # raises unless A is a matrix
+            A.sum_duplicates()
         b = np.asarray(b, dtype=float)
         if c.ndim != 1 or b.ndim != 1:
             raise ValueError("c and b must be vectors")
@@ -88,15 +107,26 @@ class LpSolution:
     status: str
     value: float
     x: np.ndarray
+    iterations: int  # simplex iterations HiGHS reports for the solve
+
+
+def _csc_products(A: sp.csc_array, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A @ x and A.T @ y from A's CSC arrays, each entry summed in scipy's order."""
+    (m, n), rows = A.shape, A.indices
+    cols = np.repeat(np.arange(n), np.diff(A.indptr))
+    # bincount of nothing counts in ints, whatever the weights
+    return (np.bincount(rows, weights=A.data * x[cols], minlength=m).astype(float, copy=False),
+            np.bincount(cols, weights=A.data * y[rows], minlength=n).astype(float, copy=False))
 
 
 def _certify(p: LpProblem, x: np.ndarray, y: np.ndarray) -> None:
     """Raise unless x is primal feasible, y dual feasible and their objectives meet."""
-    residual, lowest = float(np.max(np.abs(p.A @ x - p.b))), float(np.min(x))
+    Ax, ATy = _csc_products(p.A, x, y)
+    residual, lowest = float(np.max(np.abs(Ax - p.b))), float(np.min(x))
     if residual > PRIMAL_FEAS_TOL * (1.0 + np.max(np.abs(p.b))) or lowest < -PRIMAL_FEAS_TOL:
         raise RuntimeError(f"HiGHS optimum is not primal feasible: |Ax - b| = {residual:.3g}, "
                            f"min x = {lowest:.3g}")
-    reduced = float(np.min(p.c - p.A.T @ y))
+    reduced = float(np.min(p.c - ATy))
     if reduced < -DUAL_FEAS_TOL * (1.0 + np.max(np.abs(p.c))):
         raise RuntimeError(f"HiGHS optimum is not dual feasible: min(c - A'y) = {reduced:.3g}")
     primal = float(p.c @ x)
@@ -108,34 +138,26 @@ def _certify(p: LpProblem, x: np.ndarray, y: np.ndarray) -> None:
 def _highs(p: LpProblem) -> LpSolution:
     """The one HiGHS call behind both `solve` and `feasible`."""
     (m, n), A = p.A.shape, p.A
-    model = _h.HighsLp()
-    model.num_col_, model.num_row_ = n, m
-    model.col_cost_ = p.c
-    model.col_lower_ = np.zeros(n)
-    model.col_upper_ = np.full(n, _h.kHighsInf)
-    model.row_lower_ = model.row_upper_ = p.b
-    matrix = model.a_matrix_
-    matrix.format_ = _h.MatrixFormat.kColwise
-    matrix.num_col_, matrix.num_row_ = n, m
-    matrix.start_, matrix.index_, matrix.value_ = A.indptr, A.indices, A.data
-
     highs = _h._Highs()
     highs.passOptions(_OPTIONS)
-    if highs.passModel(model) == _h.HighsStatus.kError:
+    if highs.passModel(n, m, A.nnz, _COLWISE, _MINIMIZE, 0.0, p.c, np.zeros(n),
+                       np.full(n, _h.kHighsInf), p.b, p.b, A.indptr, A.indices, A.data,
+                       np.zeros(n, dtype=np.int32)) == _h.HighsStatus.kError:
         raise RuntimeError("HiGHS failed: "
                            + highs.modelStatusToString(_h.HighsModelStatus.kModelError))
     run = highs.run()
     status = highs.getModelStatus()
     if run == _h.HighsStatus.kError or status not in _ANSWERS:
         raise RuntimeError(f"HiGHS failed: {highs.modelStatusToString(status)}")
+    iterations = int(highs.getInfoValue("simplex_iteration_count")[1])
     if status == _h.HighsModelStatus.kInfeasible:
-        return LpSolution(INFEASIBLE, np.nan, np.full(n, np.nan))
+        return LpSolution(INFEASIBLE, np.nan, np.full(n, np.nan), iterations)
     if status == _h.HighsModelStatus.kUnbounded:
-        return LpSolution(UNBOUNDED, -np.inf, np.full(n, np.nan))
+        return LpSolution(UNBOUNDED, -np.inf, np.full(n, np.nan), iterations)
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     _certify(p, x, np.array(solution.row_dual))
-    return LpSolution(OPTIMAL, float(p.c @ x), x)
+    return LpSolution(OPTIMAL, float(p.c @ x), x, iterations)
 
 
 def solve(p: LpProblem) -> LpSolution:

@@ -9,11 +9,21 @@ its powered cost d^ell reaches EFFECTIVELY_INFINITE (so at ell=2 any
 cost >= 1e6 is blocked), and the LP runs over the open cells only.  If
 no coupling fits on them, the value is SENTINEL_COST and the coupling
 is the product of the marginals.
+
+An LP with every cell open reads its constraint matrix from a cache
+keyed by shape: one canonical CSC array per shape, with read-only
+arrays, so `lp.LpProblem` takes it without a copy.  The cache keeps the
+64 most recently used shapes of at most 16,384 nonzeros (cells times
+axes).  A matrix holds 12 bytes per nonzero and 4 per cell (float64
+values, int32 indices), so one entry retains at most 230 KB and the
+cache at most 15 MB; a 14 x 14 x 14 coupling takes 110 KB.  Larger
+systems and LPs with blocked cells build their matrix per call.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -74,6 +84,7 @@ class TransportResult:
     value: float
     coupling: JointMass
     per_pair_terms: dict | None = None
+    iterations: int = 0  # simplex iterations of the LP; 0 for a blocked instance
 
     @property
     def effectively_infinite(self) -> bool:
@@ -112,6 +123,27 @@ def marginal_constraints(shape: Sequence[int], cells: np.ndarray,
                         shape=(offset, k))
 
 
+_CACHED_NONZEROS = 1 << 14
+
+
+@lru_cache(maxsize=64)
+def _full_constraints(shape: tuple[int, ...]) -> sp.csc_array:
+    """marginal_constraints over every cell of `shape`, with its arrays made read-only."""
+    A = marginal_constraints(shape, np.arange(math.prod(shape)))
+    # HiGHS's own index type, so passModel converts nothing
+    A.indices, A.indptr = A.indices.astype(np.int32), A.indptr.astype(np.int32)
+    for arr in (A.data, A.indices, A.indptr):
+        arr.flags.writeable = False
+    return A
+
+
+def _constraints(shape: tuple[int, ...], cells: np.ndarray) -> sp.csc_array:
+    """The marginal system over the open cells; from the cache when all are open and it is small."""
+    if cells.size == math.prod(shape) and cells.size * len(shape) <= _CACHED_NONZEROS:
+        return _full_constraints(shape)
+    return marginal_constraints(shape, cells)
+
+
 def mmot(dists: Sequence[DiscreteDistribution], d: np.ndarray, ell: int = 1) -> TransportResult:
     """General MMOT: min over couplings r of <d^ell, r>, rooted; the one transport LP.
 
@@ -138,14 +170,15 @@ def mmot(dists: Sequence[DiscreteDistribution], d: np.ndarray, ell: int = 1) -> 
     c = cost.ravel() ** ell
     cells = np.flatnonzero(c < EFFECTIVELY_INFINITE)
     b = np.concatenate([p.masses for p in dists])
-    sol = (lp.solve(lp.LpProblem(c[cells], marginal_constraints(shape, cells), b))
+    sol = (lp.solve(lp.LpProblem(c[cells], _constraints(shape, cells), b))
            if cells.size else None)
     if sol is not None and sol.status == lp.OPTIMAL:
         value = max(float(sol.value), 0.0) ** (1.0 / ell)
         x = np.zeros(c.shape)
         x[cells] = sol.x
+        iterations = sol.iterations
     elif sol is None or sol.status == lp.INFEASIBLE:
-        value = SENTINEL_COST
+        value, iterations = SENTINEL_COST, 0
         x = reduce(np.multiply.outer, [p.masses for p in dists]).ravel()
     else:
         raise RuntimeError(f"transport LP unexpectedly {sol.status}")
@@ -155,7 +188,7 @@ def mmot(dists: Sequence[DiscreteDistribution], d: np.ndarray, ell: int = 1) -> 
         got = r.sum(axis=tuple(a for a in range(r.ndim) if a != axis))
         if np.max(np.abs(got - p.masses)) > MARGINAL_TOL:
             raise RuntimeError(f"coupling marginal {axis} off by more than {MARGINAL_TOL}")
-    return TransportResult(value, JointMass(r))
+    return TransportResult(value, JointMass(r), iterations=iterations)
 
 
 def wasserstein(
@@ -194,7 +227,8 @@ def pairwise_mmot(
     for s, t in combinations(range(len(dists)), 2):
         pair_marg = marginal(res.coupling, [s, t]).entries
         terms[(s, t)] = float(np.sum(d.get(s, t) * pair_marg))
-    return TransportResult(float(sum(terms.values())), res.coupling, per_pair_terms=terms)
+    return TransportResult(float(sum(terms.values())), res.coupling, per_pair_terms=terms,
+                           iterations=res.iterations)
 
 
 def _omega_index(atoms: np.ndarray, omega: np.ndarray) -> np.ndarray:

@@ -304,7 +304,7 @@ def test_violation_injection_marks_targets():
             signature_distribution(signature(g.graph, top_k=cfg.top_k))
             for g in corpus
         ]
-        T, _ = compute_tensor(cfg, dists)
+        T, _, _ = compute_tensor(cfg, dists)
         assert T.n_sampled == 120
         assert check_W_tensor(T).empirical_C >= 1.0
         # pairwise MMOT meets the sharp constant n - 1 = 2 as well

@@ -227,21 +227,21 @@ class TestComputeTensor:
 
     def test_pair_backend_yields_order_two(self):
         cfg = self.small_config("wd_pairwise")
-        T, _ = compute_tensor(cfg, self.distributions(cfg))
+        T, _, _ = compute_tensor(cfg, self.distributions(cfg))
         assert T.order == 2
         assert T.n_sampled == 15  # C(6,2), within budget
 
     def test_triple_backend_respects_budget(self):
         cfg = self.small_config("mmot_pairwise")
-        T, _ = compute_tensor(cfg, self.distributions(cfg))
+        T, _, _ = compute_tensor(cfg, self.distributions(cfg))
         assert T.order == 3
         assert T.n_sampled == 8
 
     def test_deterministic(self):
         cfg = self.small_config("mmot_pairwise")
         dists = self.distributions(cfg)
-        a, _ = compute_tensor(cfg, dists)
-        b, _ = compute_tensor(cfg, dists)
+        a, _, _ = compute_tensor(cfg, dists)
+        b, _, _ = compute_tensor(cfg, dists)
         assert a.values == b.values
 
 
@@ -254,7 +254,7 @@ class TestBackendTable:
                                pairs_budget=100, triples_budget=100)
         dists = [signature_distribution(signature(g.graph, top_k=cfg.top_k))
                  for g in build_corpus(cfg)]
-        T, solves = compute_tensor(cfg, dists)
+        T, solves, _ = compute_tensor(cfg, dists)
         order = backend_oracle.order(backend)
         assert T.order == experiments._BACKENDS[backend][0] == order
         assert solves == len(list(combinations(range(6), order)))
@@ -294,7 +294,7 @@ class TestBackendTable:
         monkeypatch.setitem(experiments._BACKENDS, "mmot_pairwise", (order, tracked))
         dists = [signature_distribution(signature(g.graph, top_k=cfg.top_k))
                  for g in build_corpus(cfg)]
-        T, solves = compute_tensor(cfg, dists)
+        T, solves, _ = compute_tensor(cfg, dists)
         assert solves == len(refs) == T.n_sampled == 20
         assert all(ref() is None for ref in refs)
 
@@ -335,6 +335,9 @@ def test_blocked_tuple_is_not_a_distance(tmp_path, monkeypatch):
     cmd_distances(cfg)
     meta = json.loads((tmp_path / "distances_mmot_pairwise.json").read_text())
     assert meta["transport_solves"] == 20
+    # simplex iterations of the 19 solved tuples; the blocked one counts none
+    assert meta["lp_iterations"] == 135
+    assert sum(real(ps, 1).iterations for ps in calls[1:]) == 135
     assert meta["n_sampled"] == 19
     T = DistanceTensor.from_csv(str(tmp_path / "tensor_mmot_pairwise.csv"))
     assert np.isnan(T.dense[0, 1, 2])
@@ -400,7 +403,7 @@ class TestBlockedSampling:
         )
         corpus = build_corpus(cfg)
         dists = [signature_distribution(signature(g.graph, top_k=cfg.top_k)) for g in corpus]
-        T, _ = compute_tensor(cfg, dists)
+        T, _, _ = compute_tensor(cfg, dists)
         assert T.n_sampled == 12
         covered = {v for t in T.values for v in t}
         assert covered == set(range(8))
@@ -416,8 +419,8 @@ class TestBlockedSampling:
         )
         corpus = build_corpus(ExperimentConfig(**base))
         dists = [signature_distribution(signature(g.graph, top_k=6)) for g in corpus]
-        a, _ = compute_tensor(ExperimentConfig(sampling="blocks", **base), dists)
-        b, _ = compute_tensor(ExperimentConfig(sampling="triples", **base), dists)
+        a, _, _ = compute_tensor(ExperimentConfig(sampling="blocks", **base), dists)
+        b, _, _ = compute_tensor(ExperimentConfig(sampling="triples", **base), dists)
         assert a.values == b.values
 
 

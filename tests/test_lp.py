@@ -4,7 +4,9 @@ Every bounded LP in the enumeration tests has at most 8 variables, so the
 optimum must be attained at one of the finitely many basic feasible
 solutions and `bfs_enumerate` can list them all.  `linprog(method="highs-ds")`
 drives the same HiGHS build with the same options, so `lp.solve` must
-return its status, its x and its value exactly.
+return its status, its x and its value exactly.  So must the same model
+built field by field as a `HighsLp` (`highs_lp_oracle`), with the same
+simplex iteration count as well.
 """
 
 import os
@@ -17,8 +19,9 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+import highs_lp_oracle
 import mmot
-from mmot import lp
+from mmot import lp, transport
 from mmot.transport import marginal_constraints
 
 
@@ -252,6 +255,70 @@ def test_linprog_oracle_on_infeasible_and_unbounded():
     assert assert_matches_linprog([-1.0, 0.0], [[1.0, -1.0]], [0.0]).status == lp.UNBOUNDED
 
 
+# ------------------------------------------------------ a HighsLp model as the oracle
+
+
+def seeded_instances():
+    rng = np.random.default_rng(101)
+    for _ in range(60):
+        yield random_feasible_lp(rng)
+
+
+def degenerate_instances():
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        a, b_dim = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+        C = rng.integers(0, 3, size=(a, b_dim)).astype(float)
+        rhs = np.concatenate([np.full(a, 1.0 / a), np.full(b_dim, 1.0 / b_dim)])
+        yield C.ravel(), marginal_constraints((a, b_dim), np.arange(a * b_dim)), rhs
+
+
+def transport_instances():
+    for shape in [(6, 5), (4, 3, 5), (3, 4, 2, 3)]:
+        rng = np.random.default_rng(len(shape))
+        for blocked in (0.0, 0.2, 0.5):
+            for _ in range(5):
+                c, A, b = transport_lp(rng, shape, blocked)
+                yield c, A, b
+                if not blocked:
+                    # the shared read-only matrix that mmot passes, taken without a copy
+                    yield c, transport._full_constraints(shape), b
+
+
+def infeasible_and_unbounded_instances():
+    yield [1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0]  # inconsistent rows
+    yield [1.0, 1.0], [[1.0, 1.0]], [-1.0]  # no nonnegative solution
+    yield [-1.0, 0.0], [[1.0, -1.0]], [0.0]  # runs off along the diagonal
+    yield [-2.0, 3.0], [[0.0, 0.0]], [0.0]  # no constraint holds x1 back
+
+
+@pytest.mark.parametrize("instances,statuses", [
+    (seeded_instances, {lp.OPTIMAL, lp.UNBOUNDED}),
+    (degenerate_instances, {lp.OPTIMAL}),
+    (transport_instances, {lp.OPTIMAL, lp.INFEASIBLE}),
+    (infeasible_and_unbounded_instances, {lp.INFEASIBLE, lp.UNBOUNDED}),
+])
+def test_highs_lp_oracle(instances, statuses):
+    seen = set()
+    for c, A, b in instances():
+        p = lp.LpProblem(c, A, b)
+        res = lp.solve(p)
+        status, value, x, iterations = highs_lp_oracle.solve(p)
+        assert res.status == status
+        np.testing.assert_array_equal(res.x, x, strict=True)
+        np.testing.assert_array_equal(res.value, value)
+        assert res.iterations == iterations
+        seen.add(status)
+    assert seen == statuses
+
+
+def test_iterations_count_simplex_pivots():
+    # an order-3 transport LP needs pivots; a vacuous one is solved by presolve alone
+    res = lp.solve(lp.LpProblem(*transport_lp(np.random.default_rng(3), (4, 3, 5))))
+    assert res.status == lp.OPTIMAL and res.iterations > 0
+    assert lp.solve(lp.LpProblem([2.0, 3.0], [[0.0, 0.0]], [0.0])).iterations == 0
+
+
 def test_noncanonical_csc_solves_as_its_dense_form():
     # HiGHS itself does not sum duplicates: without the canonical form this
     # may abort the interpreter, so the solve runs in a child process
@@ -287,6 +354,18 @@ def test_noncanonical_csc_is_not_changed_in_place():
     np.testing.assert_array_equal(p.A.toarray(), [[0.0, 3.0], [3.0, 0.0]])
     np.testing.assert_array_equal(A.indices, indices)
     np.testing.assert_array_equal(A.data, [1.0, 2.0, 3.0])
+    # a canonical matrix is copied too while any of its arrays is writable:
+    # the caller may change it later
+    for writable in (("data", "indices", "indptr"), ("data",), ("indices",), ("indptr",)):
+        B = sparse.csc_array(np.array([[0.0, 3.0], [3.0, 0.0]]))
+        for attr in ("data", "indices", "indptr"):
+            getattr(B, attr).flags.writeable = attr in writable
+        assert B.has_canonical_format
+        q = lp.LpProblem([1.0, 1.0], B, [3.0, 3.0])
+        assert q.A is not B
+        for attr in writable:
+            getattr(B, attr)[:] = 0
+        np.testing.assert_array_equal(q.A.toarray(), [[0.0, 3.0], [3.0, 0.0]])
 
 
 def test_solves_do_not_depend_on_order():
@@ -355,3 +434,36 @@ def test_certificate_rejects_duality_gap():
     lowered[0] -= 1e-6
     with pytest.raises(RuntimeError, match="duality gap"):
         lp._certify(p, x, lowered)
+
+
+def random_csc(rng):
+    """A canonical CSC matrix with an empty row, an empty column and explicit zeros."""
+    m, n = int(rng.integers(2, 30)), int(rng.integers(1, 30))
+    empty_row, empty_col = int(rng.integers(m)), int(rng.integers(n))
+    rows = np.delete(np.arange(m), empty_row)
+    columns = [np.sort(rng.choice(rows, size=0 if j == empty_col else int(rng.integers(m)),
+                                  replace=False)) for j in range(n)]
+    indices = np.concatenate(columns).astype(np.int32)
+    data = rng.normal(size=indices.size)
+    data[rng.random(indices.size) < 0.2] = 0.0
+    indptr = np.concatenate([[0], np.cumsum([col.size for col in columns])])
+    return sparse.csc_array((data, indices, indptr), shape=(m, n))
+
+
+def test_certificate_products_match_scipy():
+    rng = np.random.default_rng(23)
+    explicit_zeros = 0
+    for _ in range(100):
+        A = random_csc(rng)
+        assert A.has_canonical_format
+        assert 0 in np.diff(A.indptr) and np.unique(A.indices).size < A.shape[0]
+        explicit_zeros += int(np.sum(A.data == 0.0))
+        x, y = rng.normal(size=A.shape[1]), rng.normal(size=A.shape[0])
+        Ax, ATy = lp._csc_products(A, x, y)
+        np.testing.assert_array_equal(Ax, A @ x, strict=True)
+        np.testing.assert_array_equal(ATy, A.T @ y, strict=True)
+    assert explicit_zeros > 0
+    # no entry at all
+    Ax, ATy = lp._csc_products(sparse.csc_array((3, 2)), np.ones(2), np.ones(3))
+    np.testing.assert_array_equal(Ax, np.zeros(3), strict=True)
+    np.testing.assert_array_equal(ATy, np.zeros(2), strict=True)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from mmot import lp, transport
 from mmot.core import DiscreteDistribution, JointMass, braket, marginal
 from mmot.transport import (
     EFFECTIVELY_INFINITE,
@@ -68,9 +69,10 @@ def random_planar(rng, max_atoms=4):
     return DiscreteDistribution(pts, m)
 
 
-@pytest.mark.parametrize(
-    "shape", [(1, 1), (2, 3), (4, 1), (3, 2, 4), (1, 5, 2), (2, 2, 2, 3), (3, 1, 2, 2)]
-)
+SHAPES = [(1, 1), (2, 3), (4, 1), (3, 2, 4), (1, 5, 2), (2, 2, 2, 3), (3, 1, 2, 2)]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
 def test_marginal_constraints_match_dense_build(shape):
     n_cells = int(np.prod(shape))
     coords = np.unravel_index(np.arange(n_cells), shape)
@@ -93,6 +95,56 @@ def test_marginal_constraints_match_dense_build(shape):
         assert got.shape == want.shape
         for attr in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_full_constraints_are_cached_and_read_only(shape):
+    cells = np.arange(int(np.prod(shape)))
+    cached = transport._constraints(shape, cells)
+    want = marginal_constraints(shape, cells)
+    assert cached.shape == want.shape and cached.has_canonical_format
+    for attr in ("indptr", "indices", "data"):
+        arr = getattr(cached, attr)
+        np.testing.assert_array_equal(arr, getattr(want, attr))
+        assert arr.dtype == (np.float64 if attr == "data" else np.int32)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+    assert transport._constraints(shape, cells) is cached
+    # LpProblem takes the shared matrix as it is, without a copy
+    p = lp.LpProblem(np.ones(cells.size), cached, np.ones(cached.shape[0]))
+    assert p.A is cached
+
+
+def test_only_small_full_systems_are_cached():
+    # 128 x 64 cells over 2 axes is 16,384 nonzeros, the most the cache keeps
+    for shape, cached in (((128, 64), True), ((129, 64), False), ((3, 4), True)):
+        cells = np.arange(int(np.prod(shape)))
+        got = transport._constraints(shape, cells)
+        assert (got is transport._constraints(shape, cells)) == cached
+        assert got.data.flags.writeable != cached
+    # a blocked cell gets its own matrix over the open cells
+    got = transport._constraints((3, 4), np.arange(1, 12))
+    assert got.shape == (7, 11) and got.data.flags.writeable
+
+
+def test_mmot_solves_full_lps_on_the_cached_matrix(monkeypatch):
+    seen = []
+    real = lp.solve
+
+    def record(p):
+        seen.append(p.A)
+        return real(p)
+
+    monkeypatch.setattr(lp, "solve", record)
+    rng = np.random.default_rng(8)
+    p, q = random_planar(rng), random_planar(rng)
+    d = euclidean_cost(p, q)
+    first, again = wasserstein(p, q, d), wasserstein(p, q, d)
+    assert first.value == again.value and first.iterations == again.iterations
+    assert seen[0] is seen[1] is transport._full_constraints((p.size, q.size))
+    d[0, 0] = EFFECTIVELY_INFINITE
+    wasserstein(p, q, d)
+    assert seen[2].shape == (p.size + q.size, p.size * q.size - 1)
 
 
 class TestWasserstein:
@@ -171,7 +223,7 @@ class TestMMOT:
         q = DiscreteDistribution([1.0], [1.0])
         for big, ell in ((EFFECTIVELY_INFINITE, 1), (1e6, 2)):
             res = wasserstein(p, q, np.full((1, 1), big), ell=ell)
-            assert res.value == SENTINEL_COST
+            assert res.value == SENTINEL_COST and res.iterations == 0
             np.testing.assert_allclose(res.coupling.entries, [[1.0]])
         # costs whose power stays below 1e12 are open, however large
         for cost, ell in ((0.999e6, 2), (1e7, 1)):
@@ -187,7 +239,7 @@ class TestMMOT:
         d = np.full((2, 2), EFFECTIVELY_INFINITE)
         d[0, 0] = 0.0
         for res in (wasserstein(p, q, d), mmot([p, q], d, ell=2)):
-            assert res.value == SENTINEL_COST
+            assert res.value == SENTINEL_COST and res.iterations == 0
             assert res.effectively_infinite
             np.testing.assert_allclose(res.coupling.entries, np.full((2, 2), 0.25))
         # pairwise MMOT takes the same verdict: with only cell (0,0) open
@@ -195,7 +247,7 @@ class TestMMOT:
         r = DiscreteDistribution([0.0, 2.0], [0.5, 0.5])
         costs = PairwiseCost({(0, 1): d, (0, 2): np.ones((2, 2)), (1, 2): np.ones((2, 2))})
         res = pairwise_mmot([p, q, r], costs)
-        assert res.value == SENTINEL_COST
+        assert res.value == SENTINEL_COST and res.iterations == 0
         assert res.effectively_infinite and res.per_pair_terms is None
         np.testing.assert_allclose(res.coupling.entries, np.full((2, 2, 2), 0.125))
 
@@ -235,6 +287,9 @@ class TestPairwiseMMOT:
         res = pairwise_mmot(ps, euclidean_pairwise(ps))
         assert sum(res.per_pair_terms.values()) == pytest.approx(res.value, abs=1e-12)
         assert set(res.per_pair_terms) == {(0, 1), (0, 2), (1, 2)}
+        # the LP's simplex iterations pass through
+        lp_res = mmot(ps, transport._summed_cost(ps, euclidean_pairwise(ps)))
+        assert res.iterations == lp_res.iterations > 0
 
     def test_lower_bound_holds(self):
         rng = np.random.default_rng(44)
