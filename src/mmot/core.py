@@ -222,30 +222,16 @@ def glue(q_k: np.ndarray, conditionals: Mapping[int, ConditionalMass], k: int) -
         raise ValueError(f"pivot axis {k} also appears among the conditionals")
     if sorted(axes) != list(range(len(axes))):
         raise ValueError(f"axes {sorted(axes)} must form a contiguous range starting at 0")
-    m_k = q_k.shape[0]
-    shape = [0] * len(axes)
-    shape[k] = m_k
-    total = m_k
+    total = m_k = q_k.shape[0]
     for i, q in conditionals.items():
         if q.shape[1] != m_k:
             raise ValueError(f"conditional for axis {i} conditions on {q.shape[1]} atoms, pivot has {m_k}")
-        shape[i] = q.shape[0]
         total *= q.shape[0]
         if total > MAX_ENTRIES:
             raise ValueError(f"glued joint would exceed the {MAX_ENTRIES}-entry cap")
-    # Build along the pivot slices: for fixed s_k the joint is an outer product.
-    out = np.zeros(shape, dtype=float)
-    n = len(axes)
-    for t in range(m_k):
-        block = np.array(q_k[t], dtype=float)
-        # outer product over non-pivot axes in increasing axis order
-        factors = [conditionals[i].entries[:, t] for i in range(n) if i != k]
-        if factors:
-            prod = factors[0]
-            for f in factors[1:]:
-                prod = np.multiply.outer(prod, f)
-            block = block * prod
-        index = [slice(None)] * n
-        index[k] = t
-        out[tuple(index)] = block
-    return JointMass(out)
+    # the non-pivot columns multiplied in increasing axis order, then the pivot
+    # marginal; contiguous, so JointMass sums the joint in row-major order
+    out = np.ones(m_k)
+    for i in sorted(conditionals):
+        out = out[..., None, :] * conditionals[i].entries
+    return JointMass(np.ascontiguousarray(np.moveaxis(out * q_k, -1, k)))

@@ -4,13 +4,15 @@ The pipeline turns a family-labeled graph corpus into spectral-signature
 distributions, fills a distance tensor under one of four backends, and
 scores clusterers against the known labels.  `_BACKENDS` is the one table
 of backends: name -> (tensor order, solve of one index tuple returning its
-`TransportResult`).  Every random stream derives from the master seed
-through one documented scheme:
+`TransportResult`).  The pipeline's random streams derive from the
+master seed through one documented scheme:
 
     seed(t, u) = master XOR splitmix64(t * GAMMA + u)
 
 with GAMMA the splitmix64 increment.  Stream ids: t=0 corpus graph u,
 t=1 tuple sampling (u=0 pairs, u=1 triples), t=2+j clustering trial j.
+Outside it: `cmd_inject` seeds PCG64 with its own --seed directly, and
+`verify`'s checks use the fixed seeds 20260819, 31337 and 90210.
 Tuple solves are deterministic LPs, so any evaluation order (including a
 parallel one) produces the same tensors; files are emitted with sorted
 keys and repr floats and rerun byte for byte.

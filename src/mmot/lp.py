@@ -1,7 +1,9 @@
 """Equality-form LPs solved by HiGHS dual revised simplex.
 
 min c.x  s.t.  A x = b, x >= 0; A may come dense or scipy.sparse and is
-stored as a canonical CSC array (sorted indices, duplicates summed).
+stored in HiGHS's form, which only this module makes (`_to_highs_form`):
+canonical float64 CSC, int32 indices, all arrays read-only.  A matrix in
+that form, as `transport.marginal_constraints` builds each, is not copied.
 Transport constraint systems are rank-deficient; HiGHS removes dependent
 rows and detects inconsistent ones itself.  The simplex returns a basic
 optimal solution, and the same problem gives the same answer on every run.
@@ -68,12 +70,24 @@ _ANSWERS = (_h.HighsModelStatus.kOptimal, _h.HighsModelStatus.kInfeasible,
             _h.HighsModelStatus.kUnbounded)
 
 
-def _frozen_canonical(A) -> bool:
-    """True for a canonical float CSC array that no one can write to, so it needs no copy."""
+def _in_highs_form(A) -> bool:
+    """True for a matrix already in HiGHS's form, so `LpProblem` takes it without a copy."""
     return (isinstance(A, sp.csc_array) and A.dtype == np.float64
-            and not (A.data.flags.writeable or A.indices.flags.writeable
-                     or A.indptr.flags.writeable)
+            and A.indices.dtype == A.indptr.dtype == np.int32
+            and not any(arr.flags.writeable for arr in (A.data, A.indices, A.indptr))
             and A.has_canonical_format)
+
+
+def _to_highs_form(A: sp.csc_array) -> sp.csc_array:
+    """Put a float64 CSC array no one else holds into HiGHS's form, in place."""
+    if max(A.shape + (A.nnz,)) > np.iinfo(np.int32).max:
+        raise ValueError(f"{A.shape} matrix with {A.nnz} nonzeros overflows int32 indices")
+    A.sum_duplicates()  # HiGHS sums none itself
+    # HiGHS's own 32-bit HighsInt, so passModel copies no index
+    A.indices, A.indptr = [arr.astype(np.int32, copy=False) for arr in (A.indices, A.indptr)]
+    for arr in (A.data, A.indices, A.indptr):
+        arr.flags.writeable = False
+    return A
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +98,9 @@ class LpProblem:
 
     def __init__(self, c, A, b):
         c = np.asarray(c, dtype=float)
-        if not _frozen_canonical(A):
-            # HiGHS does not sum duplicate entries; sum_duplicates works in
-            # place, so copy first and leave the caller's arrays alone
-            A = sp.csc_array(A, dtype=float, copy=True)  # raises unless A is a matrix
-            A.sum_duplicates()
+        if not _in_highs_form(A):
+            # a copy, so the caller's arrays stay as they were; raises unless A is a matrix
+            A = _to_highs_form(sp.csc_array(A, dtype=float, copy=True))
         b = np.asarray(b, dtype=float)
         if c.ndim != 1 or b.ndim != 1:
             raise ValueError("c and b must be vectors")

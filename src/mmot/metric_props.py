@@ -335,6 +335,8 @@ def check_n_metric_cost(
     m = len(atoms)
     if cost.shape != (m,) * n:
         raise ValueError(f"cost shape {cost.shape} does not match {m} atoms")
+    if m ** (n + 1) > MAX_ENTRIES:
+        raise ValueError(f"triangle scan over {m} ** {n + 1} cells, over the cap {MAX_ENTRIES}")
     bad = np.argwhere(~np.isfinite(cost))
     if len(bad):
         cell = tuple(bad[0].tolist())
@@ -578,6 +580,8 @@ def no_gluing_check(p12: JointMass, p13: JointMass, p23: JointMass) -> GluingRes
     m2b, m3b = p23.entries.shape
     if m1 != m1b or m2 != m2b or m3 != m3b:
         raise ValueError("bivariate shapes disagree on a shared axis")
+    if (cells := m1 * m2 * m3) > MAX_ENTRIES:
+        raise ValueError(f"trivariate mass would have {cells} cells, over the cap {MAX_ENTRIES}")
     checks = [
         ("axis 1", p12.entries.sum(axis=1), p13.entries.sum(axis=1)),
         ("axis 2", p12.entries.sum(axis=0), p23.entries.sum(axis=1)),
@@ -590,7 +594,7 @@ def no_gluing_check(p12: JointMass, p13: JointMass, p23: JointMass) -> GluingRes
                              f"(max deviation {err:.3g})")
     # unknowns r[i,j,k] flattened row-major; one row per cell of each
     # bivariate marginal, in the blocks p23, p13, p12
-    A = marginal_constraints((m1, m2, m3), np.arange(m1 * m2 * m3),
+    A = marginal_constraints((m1, m2, m3), np.arange(cells),
                              blocks=[(1, 2), (0, 2), (0, 1)])
     b = np.concatenate([p23.entries.ravel(), p13.entries.ravel(),
                         p12.entries.ravel()])

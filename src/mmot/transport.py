@@ -10,14 +10,14 @@ cost >= 1e6 is blocked), and the LP runs over the open cells only.  If
 no coupling fits on them, the value is SENTINEL_COST and the coupling
 is the product of the marginals.
 
-An LP with every cell open reads its constraint matrix from a cache
-keyed by shape: one canonical CSC array per shape, with read-only
-arrays, so `lp.LpProblem` takes it without a copy.  The cache keeps the
-64 most recently used shapes of at most 16,384 nonzeros (cells times
-axes).  A matrix holds 12 bytes per nonzero and 4 per cell (float64
-values, int32 indices), so one entry retains at most 230 KB and the
-cache at most 15 MB; a 14 x 14 x 14 coupling takes 110 KB.  Larger
-systems and LPs with blocked cells build their matrix per call.
+Every constraint matrix comes from `marginal_constraints` in `lp`'s
+HiGHS form, so `lp.LpProblem` takes it without a copy.  An LP with every
+cell open reads it from a cache keyed by shape, which keeps the 64 most
+recently used shapes of at most 16,384 nonzeros (cells times axes).  A
+matrix holds 12 bytes per nonzero and 4 per cell (float64 values, int32
+indices), so one entry retains at most 230 KB and the cache at most
+15 MB; a 14 x 14 x 14 coupling takes 110 KB.  Larger systems and LPs
+with blocked cells build their matrix per call.
 """
 from __future__ import annotations
 
@@ -105,6 +105,7 @@ def marginal_constraints(shape: Sequence[int], cells: np.ndarray,
 
     One row per cell of each block's marginal, row-major, stacked block by
     block; column j is the flat coupling cell cells[j], with a 1 in every block.
+    Rows rise within each column, so it is canonical; it comes in `lp`'s HiGHS form.
     """
     shape = tuple(int(m) for m in shape)
     if blocks is None:
@@ -119,8 +120,8 @@ def marginal_constraints(shape: Sequence[int], cells: np.ndarray,
             idx, size = idx * shape[a] + coords[a], size * shape[a]
         rows[:, b] = offset + idx
         offset += size
-    return sp.csc_array((np.ones(n * k), rows.ravel(), np.arange(0, n * k + 1, n)),
-                        shape=(offset, k))
+    return lp._to_highs_form(sp.csc_array(
+        (np.ones(n * k), rows.ravel(), np.arange(0, n * k + 1, n)), shape=(offset, k)))
 
 
 _CACHED_NONZEROS = 1 << 14
@@ -128,13 +129,8 @@ _CACHED_NONZEROS = 1 << 14
 
 @lru_cache(maxsize=64)
 def _full_constraints(shape: tuple[int, ...]) -> sp.csc_array:
-    """marginal_constraints over every cell of `shape`, with its arrays made read-only."""
-    A = marginal_constraints(shape, np.arange(math.prod(shape)))
-    # HiGHS's own index type, so passModel converts nothing
-    A.indices, A.indptr = A.indices.astype(np.int32), A.indptr.astype(np.int32)
-    for arr in (A.data, A.indices, A.indptr):
-        arr.flags.writeable = False
-    return A
+    """marginal_constraints over every cell of `shape`, built once per shape."""
+    return marginal_constraints(shape, np.arange(math.prod(shape)))
 
 
 def _constraints(shape: tuple[int, ...], cells: np.ndarray) -> sp.csc_array:

@@ -6,6 +6,7 @@ x, value and simplex iteration count exactly: the two overloads must
 describe the same model to the same solver with the same options.
 """
 import numpy as np
+from scipy import sparse
 
 from mmot import lp
 from mmot.lp import _h
@@ -38,3 +39,15 @@ def solve(p):
     assert status == _h.HighsModelStatus.kOptimal
     x = np.array(highs.getSolution().col_value)
     return lp.OPTIMAL, float(p.c @ x), x, iterations
+
+
+def assert_highs_form(A):
+    """Assert A is in the form `lp` hands HiGHS: canonical float64 CSC, int32 indices, read-only."""
+    assert type(A) is sparse.csc_array and A.has_canonical_format
+    # rows rise strictly within each column, whatever scipy's cached flag says
+    cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+    assert np.all((np.diff(A.indices) > 0) | (np.diff(cols) > 0))
+    assert A.data.dtype == np.float64
+    assert A.indices.dtype == A.indptr.dtype == np.int32
+    for arr in (A.data, A.indices, A.indptr):
+        assert not arr.flags.writeable

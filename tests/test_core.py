@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from glue_oracle import pivot_slice_glue
 from mmot.core import (
     MASS_TOL,
     ConditionalMass,
@@ -198,6 +199,24 @@ class TestGlue:
             pair = marginal(j, [i, k]).entries
             want = conds[i].entries * q_k if i < k else (conds[i].entries * q_k).T
             np.testing.assert_allclose(pair, want, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_pivot_slice_loop(self, n):
+        # the broadcast product and its contiguous copy give the loop's joint bit for bit
+        rng = np.random.default_rng(300 + n)
+        for k in range(n):
+            for _ in range(50):
+                shape = [int(rng.integers(1, 6)) for _ in range(n)]
+                q_k = rng.random(shape[k]) + 0.01
+                q_k /= q_k.sum()
+                conds = {}
+                for i in range(n):
+                    if i != k:
+                        raw = rng.random((shape[i], shape[k])) + 0.01
+                        conds[i] = ConditionalMass(raw / raw.sum(axis=0))
+                got, want = glue(q_k, conds, k).entries, pivot_slice_glue(q_k, conds, k).entries
+                assert got.shape == want.shape == tuple(shape)
+                assert (got == want).all()
 
     def test_pivot_overlap_rejected(self):
         q = ConditionalMass(np.ones((2, 2)) / 2)

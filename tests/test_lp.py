@@ -20,6 +20,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 import highs_lp_oracle
+from highs_lp_oracle import assert_highs_form
 import mmot
 from mmot import lp, transport
 from mmot.transport import marginal_constraints
@@ -162,7 +163,7 @@ def test_dense_A_with_nonfinite_entries_rejected(bad):
 def test_dense_A_is_stored_as_csc():
     A = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
     p = lp.LpProblem([1.0, 1.0, 1.0], A, [1.0, 1.0])
-    assert isinstance(p.A, sparse.csc_array)
+    assert_highs_form(p.A)
     np.testing.assert_array_equal(p.A.toarray(), A)
 
 
@@ -350,10 +351,12 @@ def test_noncanonical_csc_is_not_changed_in_place():
     indptr, indices = np.array([0, 2, 3]), np.array([1, 1, 0], dtype=np.int32)
     A = sparse.csc_array((np.array([1.0, 2.0, 3.0]), indices, indptr), shape=(2, 2))
     p = lp.LpProblem([1.0, 1.0], A, [3.0, 3.0])
-    assert p.A.has_canonical_format
+    assert_highs_form(p.A)
     np.testing.assert_array_equal(p.A.toarray(), [[0.0, 3.0], [3.0, 0.0]])
     np.testing.assert_array_equal(A.indices, indices)
     np.testing.assert_array_equal(A.data, [1.0, 2.0, 3.0])
+    assert A.indptr.dtype == np.int64 and not A.has_canonical_format
+    assert all(arr.flags.writeable for arr in (A.data, A.indices, A.indptr))
     # a canonical matrix is copied too while any of its arrays is writable:
     # the caller may change it later
     for writable in (("data", "indices", "indptr"), ("data",), ("indices",), ("indptr",)):
@@ -363,9 +366,28 @@ def test_noncanonical_csc_is_not_changed_in_place():
         assert B.has_canonical_format
         q = lp.LpProblem([1.0, 1.0], B, [3.0, 3.0])
         assert q.A is not B
+        assert_highs_form(q.A)
         for attr in writable:
             getattr(B, attr)[:] = 0
         np.testing.assert_array_equal(q.A.toarray(), [[0.0, 3.0], [3.0, 0.0]])
+
+
+def test_frozen_matrix_with_wide_indices_is_copied_to_int32():
+    B = sparse.csc_array((np.array([3.0, 3.0]), np.array([1, 0]), np.array([0, 1, 2])),
+                         shape=(2, 2))
+    for arr in (B.data, B.indices, B.indptr):
+        arr.flags.writeable = False
+    assert B.indices.dtype == np.int64 and B.has_canonical_format
+    q = lp.LpProblem([1.0, 1.0], B, [3.0, 3.0])
+    assert q.A is not B and B.indices.dtype == np.int64
+    assert_highs_form(q.A)
+    assert lp.solve(q).status == lp.OPTIMAL
+
+
+def test_matrix_past_int32_indices_is_refused():
+    # 2**31 rows cannot be indexed by HiGHS's 32-bit HighsInt; refused before any solve
+    with pytest.raises(ValueError, match="overflows int32 indices"):
+        lp.LpProblem([1.0], sparse.csc_array((2**31, 1)), [0.0])
 
 
 def test_solves_do_not_depend_on_order():

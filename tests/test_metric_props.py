@@ -362,6 +362,12 @@ class TestCheckNMetricCost:
         with pytest.raises(ValueError, match=r"cost is inf at cell \(0, 1, 2\)"):
             check_n_metric_cost(cost, np.array([0.0, 1.0, 2.0]))
 
+    def test_scan_over_the_cap_is_refused(self):
+        # 57 ** 4 = 10,556,001 scan cells is past core.MAX_ENTRIES, refused before any scan
+        cost = np.ones((57, 57, 57))
+        with pytest.raises(ValueError, match=r"57 \*\* 4 cells, over the cap 10000000"):
+            check_n_metric_cost(cost, np.arange(57.0))
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_records_match_the_loops_in_order(self, n):
         rng = np.random.default_rng(40 + n)
@@ -857,6 +863,16 @@ class TestNoGluingCheck:
             np.kron(np.eye(m1 * m2), np.ones((1, m3))),
         ])
         np.testing.assert_array_equal(seen[0].toarray(), dense)
+
+    def test_mass_over_the_cap_is_refused(self, monkeypatch):
+        from mmot import lp
+
+        # 300 x 300 x 200 = 1.8e7 cells is past core.MAX_ENTRIES; no LP is built
+        monkeypatch.setattr(lp, "feasible", lambda A, b: pytest.fail("reached the LP"))
+        p12 = JointMass(np.full((300, 300), 1.0 / 90_000))
+        p13 = p23 = JointMass(np.full((300, 200), 1.0 / 60_000))
+        with pytest.raises(ValueError, match="18000000 cells, over the cap 10000000"):
+            no_gluing_check(p12, p13, p23)
 
     def test_incompatible_marginals_rejected_early(self):
         p12 = JointMass(np.array([[0.5, 0.0], [0.0, 0.5]]))

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mmot import lp, transport
+from mmot import lp, metric_props, transport
+from mmot.constructions import collinear_instance
 from mmot.core import DiscreteDistribution, JointMass, braket, marginal
+from mmot.metric_props import no_gluing_check
 from mmot.transport import (
     EFFECTIVELY_INFINITE,
     SENTINEL_COST,
@@ -26,6 +28,7 @@ from mmot.transport import (
 )
 
 from atom_oracle import index_maps as index_maps_oracle
+from highs_lp_oracle import assert_highs_form
 
 
 def w1d_oracle(xs, mus, ys, nus, ell):
@@ -79,9 +82,11 @@ def test_marginal_constraints_match_dense_build(shape):
     dense = np.vstack([np.eye(m)[coords[axis]].T for axis, m in enumerate(shape)])
     rng = np.random.default_rng(n_cells)
     subset = np.sort(rng.choice(n_cells, size=n_cells // 2, replace=False))
+    built = []
     for cells in (np.arange(n_cells), subset):
         got = marginal_constraints(shape, cells)
         np.testing.assert_array_equal(got.toarray(), dense[:, cells])
+        built.append(got)
     if len(shape) == 3:
         # the bivariate blocks p23, p13, p12 of the gluing probe, against
         # the COO build it had before it shared this builder
@@ -95,6 +100,12 @@ def test_marginal_constraints_match_dense_build(shape):
         assert got.shape == want.shape
         for attr in ("indptr", "indices", "data"):
             np.testing.assert_array_equal(getattr(got, attr), getattr(want, attr))
+        built.append(got)
+    # every system comes out in HiGHS's form, and LpProblem takes it without a copy
+    for A in built:
+        assert_highs_form(A)
+        # an LP needs a column: the half subset of one cell is empty
+        assert A.shape[1] == 0 or lp.LpProblem(np.ones(A.shape[1]), A, np.ones(A.shape[0])).A is A
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -102,11 +113,11 @@ def test_full_constraints_are_cached_and_read_only(shape):
     cells = np.arange(int(np.prod(shape)))
     cached = transport._constraints(shape, cells)
     want = marginal_constraints(shape, cells)
-    assert cached.shape == want.shape and cached.has_canonical_format
+    assert cached.shape == want.shape and cached is not want
+    assert_highs_form(cached)
     for attr in ("indptr", "indices", "data"):
         arr = getattr(cached, attr)
         np.testing.assert_array_equal(arr, getattr(want, attr))
-        assert arr.dtype == (np.float64 if attr == "data" else np.int32)
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = arr[0]
     assert transport._constraints(shape, cells) is cached
@@ -121,10 +132,11 @@ def test_only_small_full_systems_are_cached():
         cells = np.arange(int(np.prod(shape)))
         got = transport._constraints(shape, cells)
         assert (got is transport._constraints(shape, cells)) == cached
-        assert got.data.flags.writeable != cached
-    # a blocked cell gets its own matrix over the open cells
+        assert_highs_form(got)
+    # a blocked cell gets its own matrix over the open cells, in the same form
     got = transport._constraints((3, 4), np.arange(1, 12))
-    assert got.shape == (7, 11) and got.data.flags.writeable
+    assert got.shape == (7, 11) and got is not transport._constraints((3, 4), np.arange(1, 12))
+    assert_highs_form(got)
 
 
 def test_mmot_solves_full_lps_on_the_cached_matrix(monkeypatch):
@@ -145,6 +157,27 @@ def test_mmot_solves_full_lps_on_the_cached_matrix(monkeypatch):
     d[0, 0] = EFFECTIVELY_INFINITE
     wasserstein(p, q, d)
     assert seen[2].shape == (p.size + q.size, p.size * q.size - 1)
+
+
+def test_blocked_and_probe_lps_hand_highs_the_built_matrix(monkeypatch):
+    built, passed = [], []
+
+    def build(*args, **kwargs):
+        built.append(marginal_constraints(*args, **kwargs))
+        return built[-1]
+
+    real = lp._highs
+    monkeypatch.setattr(transport, "marginal_constraints", build)
+    monkeypatch.setattr(metric_props, "marginal_constraints", build)
+    monkeypatch.setattr(lp, "_highs", lambda p: passed.append(p.A) or real(p))
+    # the collinear sentinel costs leave only the 3 diagonal cells open
+    dists, cost = collinear_instance(3, 3)
+    res = pairwise_mmot(dists[:3], cost)
+    assert not res.effectively_infinite and built[0].shape == (9, 3)
+    j = res.coupling
+    assert no_gluing_check(marginal(j, [0, 1]), marginal(j, [0, 2]), marginal(j, [1, 2])).feasible
+    assert len(passed) == len(built) == 2
+    assert passed[0] is built[0] and passed[1] is built[1]
 
 
 class TestWasserstein:
