@@ -154,8 +154,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hash", help="index-map tools")
     hsub = p.add_subparsers(dest="hash_command", required=True)
     pa = hsub.add_parser("audit", help="audit the index maps")
-    pa.add_argument("--n", type=int, help="audit a single n")
-    pa.add_argument("--n-max", type=int, default=40, dest="n_max")
+    which = pa.add_mutually_exclusive_group()
+    which.add_argument("--n", type=int, help="audit a single n")
+    which.add_argument("--n-max", type=int, default=40, dest="n_max")
     pa.set_defaults(func=_run_hash_audit)
 
     p = sub.add_parser("constructions", help="reference instances")

@@ -6,15 +6,16 @@ produces the same bucket twice, and H'^n produces at most 5 copies.
 
 Each map is defined once, as a numpy kernel over index arrays. The public
 `h`, `h_prime`, `H_n` and `H_prime_n` check their domain and call the
-kernel on length-1 arrays, so the audits certify the very map they
-return. A routing kernel fills a fixed 4-slot layout per input plus a
-keep-mask; the kept slots, read in row-major order, are the routed
-triples in emission order. An audit checks every emitted triple with
-boolean masks and encodes it as (a*N + b)*N + c, N = n + 2. H^n is
-routed in one call; H'^n one r at a time, which bounds memory, keeping
-each r's codes (and their maximum multiplicity). The kept codes are
-counted with one `np.bincount`, and offending codes are read in
-first-emission order with `np.unique`.
+kernel on length-1 int64 arrays, so the audits certify the very map they
+return. A routing kernel returns per-slot columns a, b, c and a
+keep-mask, each (m, 4); the kept slots, read in row-major order, are the
+routed triples in emission order. An audit checks the kept slots with
+boolean masks and encodes each as (a*N + b)*N + c, N = n + 2, in int32,
+which is exact for n <= AUDIT_CAP. H^n is routed in one call; H'^n in
+chunks of whole r, at most `_ROUTE_BATCH` routed inputs per call, which
+bounds memory, keeping each r's codes (and their maximum multiplicity).
+The kept codes are counted with one `np.bincount`, and offending codes
+are read in first-emission order with `np.unique`.
 """
 from __future__ import annotations
 
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 AUDIT_CAP = 60
+# routed inputs per H'^n kernel call (at least one whole r): each call
+# holds a few (m, 4) int32 columns of 128 KB each at 8,192 rows
+_ROUTE_BATCH = 8192
 
 
 class Triple(NamedTuple):
@@ -54,55 +58,51 @@ def _h_prime(i: np.ndarray, r: np.ndarray | int, n: int) -> np.ndarray:
     return np.where(i < n, 1 + (i + r - 1) % n, 1 + r % (n - 1))
 
 
-def _slots(*triples: tuple) -> np.ndarray:
-    # each argument is one slot's (a, b, c) columns; result is (m, slots, 3)
-    return np.stack([np.stack(t, axis=-1) for t in triples], axis=1)
-
-
-def _pair_routes(i: np.ndarray, j: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """H^n over index arrays: (m, 4, 3) triples and their (m, 4) keep-mask."""
+def _pair_routes(i: np.ndarray, j: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """H^n over index arrays: per-slot columns a, b, c and keep-mask, each (m, 4)."""
     hi, hj = _h(i, n), _h(j, n)
     top = np.full_like(i, n + 1)
     # (1, n) sends one triple for h(i); adjacent i, j send one for h(j)
     wrap = (i == 1) & (j == n)
     adjacent = i == j - 1
-    slots = _slots(
-        (i, np.where(wrap, top, j), hi),
-        (j, top, hi),
-        (np.where(adjacent, j, i), np.where(adjacent, top, j), hj),
-        (i, top, hj),
-    )
     kept = np.ones_like(wrap)
-    return slots, np.stack([kept, ~wrap, kept, ~adjacent], axis=1)
-
-
-def _route_half(a: np.ndarray, b: np.ndarray, r: np.ndarray, n: int) -> tuple:
-    # one-sided routing; the second triple is skipped when b is already
-    # the bucket of (a, r), otherwise both (a,b) and (b,r) get a copy
-    c = _h_prime(a, r, n)
-    single = b == c
-    x = np.where(single, r, b)
-    first = (np.minimum(a, x), np.maximum(a, x), c)
-    second = (np.minimum(b, r), np.maximum(b, r), c)
-    return first, second, ~single
+    return (np.stack([i, j, np.where(adjacent, j, i), i], axis=1),
+            np.stack([np.where(wrap, top, j), top, np.where(adjacent, top, j), top], axis=1),
+            np.stack([hi, hi, hj, hj], axis=1),
+            np.stack([kept, ~wrap, kept, ~adjacent], axis=1))
 
 
 def _triple_routes(i: np.ndarray, j: np.ndarray, r: np.ndarray | int,
-                   n: int) -> tuple[np.ndarray, np.ndarray]:
-    """H'^n over index arrays: (m, 4, 3) triples and their (m, 4) keep-mask.
+                   n: int) -> tuple[np.ndarray, ...]:
+    """H'^n over index arrays: per-slot columns a, b, c and keep-mask, each (m, 4).
 
+    Slots 0-1 are routed to the bucket h'(i, r), slots 2-3 to h'(j, r).
     First two components of every triple come out sorted.
     """
     i, j, r = np.broadcast_arrays(i, j, r)
-    first_i, second_i, keep_i = _route_half(i, j, r, n)
-    first_j, second_j, keep_j = _route_half(j, i, r, n)
-    kept = np.ones_like(keep_i)
-    return (_slots(first_i, second_i, first_j, second_j),
-            np.stack([kept, keep_i, kept, keep_j], axis=1))
+    # (m, 2) halves: column 0 routes i's bucket, column 1 routes j's
+    a, b, r = np.stack([i, j], axis=1), np.stack([j, i], axis=1), r[:, None]
+    c = _h_prime(a, r, n)
+    # the second triple is skipped when b is already the bucket of (a, r),
+    # otherwise both (a, b) and (b, r) get a copy
+    single = b == c
+    x = np.where(single, r, b)
+
+    def slots(first, second):
+        return np.stack([first, second], axis=2).reshape(len(i), 4)
+
+    return (slots(np.minimum(a, x), np.minimum(b, r)),
+            slots(np.maximum(a, x), np.maximum(b, r)),
+            slots(c, c),
+            slots(np.ones_like(single), ~single))
 
 
-def _triples(rows: np.ndarray) -> list[Triple]:
-    return [Triple(*t) for t in rows.tolist()]
+def _triples(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> list[Triple]:
+    return [Triple(*t) for t in zip(a.tolist(), b.tolist(), c.tolist())]
+
+
+def _kept(a: np.ndarray, b: np.ndarray, c: np.ndarray, keep: np.ndarray) -> list[Triple]:
+    return _triples(a[keep], b[keep], c[keep])
 
 
 def _check_n(n: int) -> None:
@@ -137,8 +137,7 @@ def H_n(i: int, j: int, n: int) -> list[Triple]:
     _check_n(n)
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    slots, keep = _pair_routes(_one(i), _one(j), n)
-    return _triples(slots[keep])
+    return _kept(*_pair_routes(_one(i), _one(j), n))
 
 
 def H_prime_n(i: int, j: int, r: int, n: int) -> list[Triple]:
@@ -151,8 +150,7 @@ def H_prime_n(i: int, j: int, r: int, n: int) -> list[Triple]:
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
     if not 1 <= r <= n - 1:
         raise ValueError(f"r must be in [1, {n - 1}], got {r}")
-    slots, keep = _triple_routes(_one(i), _one(j), _one(r), n)
-    return _triples(slots[keep])
+    return _kept(*_triple_routes(_one(i), _one(j), _one(r), n))
 
 
 @dataclass
@@ -187,42 +185,44 @@ def _audit_cap(n: int) -> None:
 
 
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # every 1 <= i < j <= n, i-major like the nested loop
+    # every 1 <= i < j <= n, i-major like the nested loop; int32 keeps the
+    # audit's codes exact, since they stay below (AUDIT_CAP + 2) ** 3
     i, j = np.triu_indices(n, k=1)
-    return i + 1, j + 1
+    return (i + 1).astype(np.int32), (j + 1).astype(np.int32)
 
 
-def _emit(slots: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kept triples as an (m, 3) array in emission order, with each one's input row."""
-    return slots[keep], np.nonzero(keep)[0]
+def _slot(a: np.ndarray, b: np.ndarray, c: np.ndarray, k: int) -> Triple:
+    return Triple(*(int(x.flat[k]) for x in (a, b, c)))
 
 
-def _flag(tri: np.ndarray, checks: list[tuple[np.ndarray, str]],
-          source: Callable[[int], str]) -> list[str]:
-    """One message per failed check, by emitted row, then by check order."""
-    bad = np.logical_or.reduce([mask for mask, _ in checks])
+def _flag(a: np.ndarray, b: np.ndarray, c: np.ndarray, keep: np.ndarray,
+          checks: list[tuple[np.ndarray, str]], source: Callable[[int], str]) -> list[str]:
+    """One message per failed check on a kept slot, by emission, then by check order."""
+    bad = keep & np.logical_or.reduce([mask for mask, _ in checks])
     out = []
     for k in np.flatnonzero(bad).tolist():
-        t = Triple(*tri[k].tolist())
-        out.extend(f"{t} from {source(k)}: {label}"
-                   for mask, label in checks if mask[k])
+        t = _slot(a, b, c, k)
+        out.extend(f"{t} from {source(k // keep.shape[1])}: {label}"
+                   for mask, label in checks if mask.flat[k])
     return out
 
 
-def _codes(tri: np.ndarray, n: int) -> np.ndarray:
+def _codes(a: np.ndarray, b: np.ndarray, c: np.ndarray, keep: np.ndarray,
+           n: int) -> np.ndarray:
+    """Kept slots' codes (a*N + b)*N + c, N = n + 2, in emission order."""
     size = n + 2
-    if tri.size and (tri.min() < 0 or tri.max() >= size):
-        k = int(np.flatnonzero(((tri < 0) | (tri >= size)).any(axis=1))[0])
-        raise ValueError(f"routed triple {Triple(*tri[k].tolist())} has a component "
-                         f"outside [0, {n + 1}] and cannot be counted")
-    return (tri[:, 0] * size + tri[:, 1]) * size + tri[:, 2]
+    outside = keep & ((a < 0) | (a >= size) | (b < 0) | (b >= size) | (c < 0) | (c >= size))
+    if outside.any():
+        k = int(np.flatnonzero(outside)[0])
+        raise ValueError(f"routed triple {_slot(a, b, c, k)} has a "
+                         f"component outside [0, {n + 1}] and cannot be counted")
+    return ((a * size + b) * size + c)[keep]
 
 
 def _decode(codes: np.ndarray, n: int) -> list[Triple]:
     size = n + 2
     ab, c = np.divmod(codes, size)
-    a, b = np.divmod(ab, size)
-    return _triples(np.column_stack([a, b, c]))
+    return _triples(*np.divmod(ab, size), c)
 
 
 def _first_emitted(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -240,14 +240,13 @@ def audit_H(n: int) -> HashAuditReport:
     """Exhaustively audit H^n: no duplicate triples, components in range."""
     _audit_cap(n)
     i, j = _pairs(n)
-    tri, row = _emit(*_pair_routes(i, j, n))
-    a, b, c = tri.T
-    violations = _flag(tri, [
+    a, b, c, keep = routes = _pair_routes(i, j, n)
+    violations = _flag(*routes, [
         (~((1 <= a) & (a < b) & (b <= n + 1)), "first two out of range"),
         (~((1 <= c) & (c <= n)), "third out of range"),
         ((c == a) | (c == b), "bucket collides"),
-    ], lambda k: f"({i[row[k]]},{j[row[k]]})")
-    codes = _codes(tri, n)
+    ], lambda k: f"({i[k]},{j[k]})")
+    codes = _codes(*routes, n)
     counts = np.bincount(codes, minlength=(n + 2) ** 3)
     max_mult = int(counts.max())
     if max_mult > 1:
@@ -271,22 +270,27 @@ def audit_H_prime(n: int) -> HashAuditReport:
     """
     _audit_cap(n)
     i, j = _pairs(n)
+    pairs = len(i)
+    per_call = max(1, _ROUTE_BATCH // pairs)
     per_r_max: dict[int, int] = {}
     violations: list[str] = []
     codes = []
-    # one r at a time bounds the routing working set to C(n, 2) inputs
-    for r in range(1, n):
-        tri, row = _emit(*_triple_routes(i, j, r, n))
-        a, b, c = tri.T
-        violations += _flag(tri, [
+    for r0 in range(1, n, per_call):
+        # r-major rows, so row-major slots are emission order across the chunk
+        rs = np.arange(r0, min(r0 + per_call, n), dtype=np.int32)
+        ii, jj, rr = np.tile(i, len(rs)), np.tile(j, len(rs)), np.repeat(rs, pairs)
+        a, b, c, keep = routes = _triple_routes(ii, jj, rr, n)
+        violations += _flag(*routes, [
             (~((1 <= a) & (a <= b) & (b <= n)), "out of range"),
             (~((1 <= c) & (c <= n)), "bucket out of range"),
             # at n=2 the wrap h'(2,1)=1 collides with r and the
             # exclusion is vacuous; it holds for every n >= 3
             (((c == a) | (c == b)) & (n >= 3), "bucket collides"),
-        ], lambda k: f"({i[row[k]]},{j[row[k]]},{r})")
-        codes.append(_codes(tri, n))
-        per_r_max[r] = int(np.bincount(codes[-1]).max())
+        ], lambda k: f"({ii[k]},{jj[k]},{rr[k]})")
+        codes.append(_codes(*routes, n))
+        ends = np.cumsum(keep.reshape(len(rs), -1).sum(axis=1))[:-1]
+        for r, part in zip(rs.tolist(), np.split(codes[-1], ends)):
+            per_r_max[r] = int(np.bincount(part).max())
     codes = np.concatenate(codes)
     pooled = np.bincount(codes, minlength=(n + 2) ** 3)
     max_mult = int(pooled.max())

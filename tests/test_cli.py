@@ -53,6 +53,12 @@ class TestHashAudit:
         assert out == ""
         assert err == f"error: --n-max must be at least 2, got {n_max}\n"
 
+    def test_single_n_with_a_range_is_refused(self, capsys):
+        rc, out, err = run(["hash", "audit", "--n", "5", "--n-max", "10"], capsys)
+        assert rc == 2
+        assert out == ""
+        assert "argument --n-max: not allowed with argument --n" in err
+
     def test_range_past_the_cap_is_refused_before_any_audit(self, capsys):
         rc, out, err = run(["hash", "audit", "--n-max", "61"], capsys)
         assert rc == 2

@@ -1,5 +1,7 @@
 """Index maps and their exhaustive audits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from mmot.hashes import (
     h_prime,
 )
 
-ORACLE_NS = [*range(2, 25), 40]
+ORACLE_NS = [*range(2, 25), 40, AUDIT_CAP]
 
 
 class TestH:
@@ -138,8 +140,8 @@ class TestAudits:
         assert audit_H_prime(2).ok
 
 
-def _emitted(slots, keep):
-    return [Triple(*t) for t in slots[keep].tolist()]
+def _emitted(a, b, c, keep):
+    return [Triple(*t) for t in zip(a[keep].tolist(), b[keep].tolist(), c[keep].tolist())]
 
 
 def _loop_pairs(n):
@@ -192,12 +194,13 @@ def _plant(monkeypatch, kernel, route, faults):
     scalar_route = getattr(oracle, route)
 
     def planted_kernel(*args):
-        slots, keep = array_kernel(*args)
+        *columns, keep = array_kernel(*args)
         inputs = np.broadcast_arrays(*args[:-1])
         for src, value in faults.items():
             hit = np.logical_and.reduce([x == v for x, v in zip(inputs, src)])
-            slots[hit, 0] = value
-        return slots, keep
+            for column, v in zip(columns, value):
+                column[hit, 0] = v
+        return (*columns, keep)
 
     def planted_route(*args):
         out = scalar_route(*args)
@@ -258,25 +261,74 @@ class TestPlantedFaults:
         assert rep == oracle.audit_H_prime(4)
 
     def test_each_r_routed_once(self, monkeypatch):
-        calls = []
+        routed = []
         kernel = hashes._triple_routes
 
         def counted(i, j, r, n):
-            calls.append(r)
+            assert len(i) <= hashes._ROUTE_BATCH
+            routed.extend(zip(i.tolist(), j.tolist(), r.tolist()))
             return kernel(i, j, r, n)
 
         monkeypatch.setattr(hashes, "_triple_routes", counted)
-        for n in (2, 4, 7):
-            calls.clear()
+        # n = 40 and 60 route several r per call, with a shorter last call
+        for n in (2, 4, 7, 40, AUDIT_CAP):
+            routed.clear()
             assert audit_H_prime(n).ok
-            assert calls == list(range(1, n))
+            assert routed == [(a, b, r) for r in range(1, n) for a, b in _loop_pairs(n)]
         # a failing audit reads its offenders from the codes it already has
         _plant(monkeypatch, "_triple_routes", "H_prime_n", {(1, 2, 1): (2, 3, 1)})
-        calls.clear()
+        routed.clear()
         assert not audit_H_prime(4).ok
-        assert calls == [1, 2, 3]
+        assert routed == [(a, b, r) for r in range(1, 4) for a, b in _loop_pairs(4)]
 
     def test_uncountable_component_raises(self, monkeypatch):
         _plant(monkeypatch, "_pair_routes", "H_n", {(2, 3): (2, 3, 7)})
         with pytest.raises(ValueError, match="outside \\[0, 6\\] and cannot be counted"):
             audit_H(5)
+
+
+# at n = 40 one kernel call routes r = 1..LAST, the next LAST+1..2*LAST
+LAST = hashes._ROUTE_BATCH // len(_loop_pairs(40))
+
+
+class TestChunkBoundary:
+    """Faults planted on the last r of one kernel call and the first r of the next."""
+
+    def test_wording_names_each_r(self, monkeypatch):
+        _plant(monkeypatch, "_triple_routes", "H_prime_n",
+               {(2, 3, LAST): (0, 3, 1), (2, 3, LAST + 1): (2, 3, 3)})
+        rep = audit_H_prime(40)
+        assert rep.violations == [
+            f"Triple(a=0, b=3, c=1) from (2,3,{LAST}): out of range",
+            f"Triple(a=2, b=3, c=3) from (2,3,{LAST + 1}): bucket collides",
+        ]
+        assert rep == oracle.audit_H_prime(40)
+
+    def test_per_r_maxima_and_first_emission_order(self, monkeypatch):
+        # (40,40,c) is never routed at n = 40; (40,40,2) is first emitted
+        # on the last r of one call, (40,40,1) on the first r of the next
+        late, early = (40, 40, 2), (40, 40, 1)
+        faults = {
+            **{(1, j, LAST): late for j in range(2, 6)},
+            **{(1, j, LAST + 1): late for j in (2, 3)},
+            **{(2, j, LAST + 1): early for j in range(3, 9)},
+        }
+        _plant(monkeypatch, "_triple_routes", "H_prime_n", faults)
+        rep = audit_H_prime(40)
+        assert rep.violations == [
+            "multiplicity 6 > 5 for [Triple(a=40, b=40, c=2), Triple(a=40, b=40, c=1)]"]
+        assert (rep.per_r_max[LAST], rep.per_r_max[LAST + 1]) == (4, 6)
+        assert rep == oracle.audit_H_prime(40)
+
+
+def test_audit_at_cap_stays_small():
+    # the chunked audit peaks near 7 MB, most of it the pooled count;
+    # routing every r of n = 60 in one kernel call peaks near 15 MB
+    audit_H_prime(AUDIT_CAP)
+    tracemalloc.start()
+    try:
+        audit_H_prime(AUDIT_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20

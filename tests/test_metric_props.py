@@ -330,6 +330,46 @@ class TestCheckNMetricCost:
         assert rep.symmetric
         assert rep.nonnegative
 
+    @staticmethod
+    def _scanned(monkeypatch, cost, atoms):
+        """The report and its allclose count, with and without the exact-symmetry shortcut."""
+        calls = []
+        allclose = np.allclose
+        monkeypatch.setattr(np, "allclose", lambda *a, **k: calls.append(1) or allclose(*a, **k))
+        rep = check_n_metric_cost(cost, atoms)
+        fast = len(calls)
+        with monkeypatch.context() as m:
+            m.setattr(np, "array_equal", lambda *a, **k: False)
+            full = check_n_metric_cost(cost, atoms)
+        return rep, fast, full, len(calls) - fast
+
+    def test_exact_symmetry_skips_the_permutation_scan(self, monkeypatch):
+        # order 8 over 2 atoms: a cell's cost depends only on how many indices are 1
+        ones = sum(np.indices((2,) * 8))
+        cost = ones * (8 - ones) / 16.0
+        rep, fast, full, scanned = self._scanned(monkeypatch, cost, np.array([0.0, 1.0]))
+        assert (fast, scanned) == (0, math.factorial(8))
+        assert rep == full
+        assert rep.symmetric and rep.ok
+
+    def test_symmetry_within_tolerance_takes_the_full_scan(self, monkeypatch):
+        atoms = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        i, j, k = np.indices((3, 3, 3))
+        cost = (i != j) + (j != k) + (i != k) + 0.0
+        cost[0, 1, 2] += ZERO_TOL / 2
+        cost[2, 1, 0] -= ZERO_TOL / 4
+        rep, fast, full, scanned = self._scanned(monkeypatch, cost, atoms)
+        assert fast == scanned == 6
+        assert rep == full
+        assert rep.symmetric
+        # past the tolerance, the same scan records each failing permutation
+        cost[0, 1, 2] += 2 * ZERO_TOL
+        rep, fast, full, _ = self._scanned(monkeypatch, cost, atoms)
+        assert fast == 6
+        assert rep == full
+        assert [v["where"] for v in rep.violations if v["kind"] == "symmetry"] == [
+            [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]]
+
     def test_asymmetric_cost_flagged(self):
         atoms = np.array([0.0, 1.0])
         cost = np.zeros((2, 2))
