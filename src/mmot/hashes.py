@@ -14,8 +14,9 @@ boolean masks and encodes each as (a*N + b)*N + c, N = n + 2, in int32,
 which is exact for n <= AUDIT_CAP. H^n is routed in one call; H'^n in
 chunks of whole r, at most `_ROUTE_BATCH` routed inputs per call, which
 bounds memory, keeping each r's codes (and their maximum multiplicity).
-The kept codes are counted with one `np.bincount`, and offending codes
-are read in first-emission order with `np.unique`.
+The kept codes are counted with `np.bincount`, H'^n's chunk by chunk into
+one pooled count, and offending codes are read in first-emission order
+with `np.unique`.
 """
 from __future__ import annotations
 
@@ -275,6 +276,7 @@ def audit_H_prime(n: int) -> HashAuditReport:
     per_r_max: dict[int, int] = {}
     violations: list[str] = []
     codes = []
+    pooled = np.zeros((n + 2) ** 3, dtype=np.intp)
     for r0 in range(1, n, per_call):
         # r-major rows, so row-major slots are emission order across the chunk
         rs = np.arange(r0, min(r0 + per_call, n), dtype=np.int32)
@@ -288,19 +290,19 @@ def audit_H_prime(n: int) -> HashAuditReport:
             (((c == a) | (c == b)) & (n >= 3), "bucket collides"),
         ], lambda k: f"({ii[k]},{jj[k]},{rr[k]})")
         codes.append(_codes(*routes, n))
+        # chunk by chunk, so no more than one chunk's codes is copied to intp
+        pooled += np.bincount(codes[-1], minlength=len(pooled))
         ends = np.cumsum(keep.reshape(len(rs), -1).sum(axis=1))[:-1]
         for r, part in zip(rs.tolist(), np.split(codes[-1], ends)):
             per_r_max[r] = int(np.bincount(part).max())
-    codes = np.concatenate(codes)
-    pooled = np.bincount(codes, minlength=(n + 2) ** 3)
     max_mult = int(pooled.max())
     if max_mult > 5:
-        offenders = _first_emitted(codes, pooled > 5)
+        offenders = _first_emitted(np.concatenate(codes), pooled > 5)
         violations.append(f"multiplicity {max_mult} > 5 for {_decode(offenders[:5], n)}")
     worst = np.flatnonzero(pooled == max_mult)[:10]
     return HashAuditReport(
         n=n,
-        total=len(codes),
+        total=sum(map(len, codes)),
         max_multiplicity=max_mult,
         histogram=_histogram(pooled),
         violations=violations,

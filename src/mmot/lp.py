@@ -4,9 +4,11 @@ min c.x  s.t.  A x = b, x >= 0; A may come dense or scipy.sparse and is
 stored in HiGHS's form, which only this module makes (`_to_highs_form`):
 canonical float64 CSC, int32 indices, all arrays read-only.  A matrix in
 that form, as `transport.marginal_constraints` builds each, is not copied.
-Transport constraint systems are rank-deficient; HiGHS removes dependent
-rows and detects inconsistent ones itself.  The simplex returns a basic
-optimal solution, and the same problem gives the same answer on every run.
+Transport constraint systems are rank-deficient, and HiGHS's dual simplex
+runs on them as built, with no presolve: a dependent row keeps its logical
+column basic, with a zero dual, and an inconsistent one ends the solve as
+infeasible.  The simplex returns a basic optimal solution, and the same
+problem gives the same answer on every run.
 
 Each solve hands the CSC arrays, costs and bounds to scipy's HiGHS
 binding (`scipy.optimize._highspy._core`, which scipy's own HiGHS
@@ -50,9 +52,11 @@ FEASIBLE = "feasible"
 PRIMAL_FEAS_TOL = 1e-10
 DUAL_FEAS_TOL = 1e-10
 
-# the options scipy's method="highs-ds" sets, and nothing else
+# the options scipy's method="highs-ds" sets, but for presolve: on these
+# small LPs it costs more than the simplex itself (a 16 x 16 transport LP
+# runs about 3.5x as long with it), and the simplex needs no row removed
 _OPTIONS = _h.HighsOptions()
-_OPTIONS.presolve = "on"
+_OPTIONS.presolve = "off"
 _OPTIONS.solver = "simplex"
 _OPTIONS.simplex_strategy = _h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 _OPTIONS.primal_feasibility_tolerance = PRIMAL_FEAS_TOL

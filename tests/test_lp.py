@@ -3,10 +3,10 @@
 Every bounded LP in the enumeration tests has at most 8 variables, so the
 optimum must be attained at one of the finitely many basic feasible
 solutions and `bfs_enumerate` can list them all.  `linprog(method="highs-ds")`
-drives the same HiGHS build with the same options, so `lp.solve` must
-return its status, its x and its value exactly.  So must the same model
-built field by field as a `HighsLp` (`highs_lp_oracle`), with the same
-simplex iteration count as well.
+with presolve off drives the same HiGHS build with the same options, so
+`lp.solve` must return its status, its x and its value exactly.  So must
+the same model built field by field as a `HighsLp` (`highs_lp_oracle`),
+with the same simplex iteration count as well.
 """
 
 import os
@@ -23,7 +23,8 @@ import highs_lp_oracle
 from highs_lp_oracle import assert_highs_form
 import mmot
 from mmot import lp, transport
-from mmot.transport import marginal_constraints
+from mmot.constructions import collinear_instance
+from mmot.transport import PairwiseCost, marginal_constraints
 
 
 def bfs_enumerate(c, A, b, feas_tol=1e-9):
@@ -192,11 +193,17 @@ def test_feasible_reports_witness():
 LINPROG_STATUS = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}
 
 
+def linprog_result(c, A, b):
+    """linprog's OptimizeResult under lp's options."""
+    return linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds",
+                   options={"presolve": False,
+                            "primal_feasibility_tolerance": lp.PRIMAL_FEAS_TOL,
+                            "dual_feasibility_tolerance": lp.DUAL_FEAS_TOL})
+
+
 def linprog_oracle(c, A, b):
-    """linprog's answer under lp's tolerances: (status, value, x, row duals)."""
-    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds",
-                  options={"primal_feasibility_tolerance": lp.PRIMAL_FEAS_TOL,
-                           "dual_feasibility_tolerance": lp.DUAL_FEAS_TOL})
+    """linprog's answer under lp's options: (status, value, x, row duals)."""
+    res = linprog_result(c, A, b)
     status = LINPROG_STATUS[res.status]
     if status != lp.OPTIMAL:
         return status, None, None, None
@@ -256,6 +263,55 @@ def test_linprog_oracle_on_infeasible_and_unbounded():
     assert assert_matches_linprog([-1.0, 0.0], [[1.0, -1.0]], [0.0]).status == lp.UNBOUNDED
 
 
+def rank_deficient_instances(consistent=True):
+    """3 x 3 transport systems, one row repeated and another doubled.
+
+    The transport rows are already dependent; both added rows are exact
+    multiples, so the system stays consistent, unless `consistent` is
+    False and the repeated row's right-hand side is moved.
+    """
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        c, A, b = transport_lp(rng, (3, 3))
+        rows = A.toarray()
+        rhs = np.concatenate([b, [b[1], 2.0 * b[4]]])
+        if not consistent:
+            rhs[-2] += 0.25
+        yield c, np.vstack([rows, rows[1], 2.0 * rows[4]]), rhs
+
+
+def inconsistent_instances():
+    yield from rank_deficient_instances(consistent=False)
+
+
+def collinear_instances():
+    """The five order-4 blocked-cell LPs of `collinear_instance(4, 3)`, as `mmot verify` solves them."""
+    dists, cost = collinear_instance(4, 3)
+    for subset in combinations(range(5), 4):
+        sub = [dists[i] for i in subset]
+        pair = PairwiseCost({(a, b): cost.get(subset[a], subset[b])
+                             for a, b in combinations(range(4), 2)})
+        full = transport._summed_cost(sub, pair)
+        cells = np.flatnonzero(full.ravel() < transport.EFFECTIVELY_INFINITE)
+        yield (full.ravel()[cells], marginal_constraints(full.shape, cells),
+               np.concatenate([p.masses for p in sub]))
+
+
+@pytest.mark.parametrize("instances,status", [
+    (rank_deficient_instances, lp.OPTIMAL),
+    (inconsistent_instances, lp.INFEASIBLE),
+    (collinear_instances, lp.OPTIMAL),
+])
+def test_linprog_oracle_on_rank_deficient_systems(instances, status):
+    for c, A, b in instances():
+        res = assert_matches_linprog(c, A, b)
+        oracle = linprog_result(c, A, b)
+        assert res.status == status and res.iterations == oracle.nit
+        if status == lp.OPTIMAL:
+            # linprog's own primal and duals pass the certificate too
+            lp._certify(lp.LpProblem(c, A, b), oracle.x, oracle.eqlin.marginals)
+
+
 # ------------------------------------------------------ a HighsLp model as the oracle
 
 
@@ -298,6 +354,9 @@ def infeasible_and_unbounded_instances():
     (degenerate_instances, {lp.OPTIMAL}),
     (transport_instances, {lp.OPTIMAL, lp.INFEASIBLE}),
     (infeasible_and_unbounded_instances, {lp.INFEASIBLE, lp.UNBOUNDED}),
+    (rank_deficient_instances, {lp.OPTIMAL}),
+    (inconsistent_instances, {lp.INFEASIBLE}),
+    (collinear_instances, {lp.OPTIMAL}),
 ])
 def test_highs_lp_oracle(instances, statuses):
     seen = set()
@@ -314,7 +373,7 @@ def test_highs_lp_oracle(instances, statuses):
 
 
 def test_iterations_count_simplex_pivots():
-    # an order-3 transport LP needs pivots; a vacuous one is solved by presolve alone
+    # an order-3 transport LP needs pivots; a vacuous one is optimal at the slack basis
     res = lp.solve(lp.LpProblem(*transport_lp(np.random.default_rng(3), (4, 3, 5))))
     assert res.status == lp.OPTIMAL and res.iterations > 0
     assert lp.solve(lp.LpProblem([2.0, 3.0], [[0.0, 0.0]], [0.0])).iterations == 0
