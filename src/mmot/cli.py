@@ -77,8 +77,7 @@ def _run_hash_audit(args: argparse.Namespace) -> int:
     if not ns:
         raise ValueError(f"--n-max must be at least 2, got {args.n_max}")
     # refuse the whole range up front rather than after auditing its start
-    if ns[-1] > hashes.AUDIT_CAP:
-        raise ValueError(f"audit cap is n <= {hashes.AUDIT_CAP}, got {ns[-1]}")
+    hashes._audit_cap(ns[-1])
     bad = 0
     for n in ns:
         for rep in (hashes.audit_H(n), hashes.audit_H_prime(n)):

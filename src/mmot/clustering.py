@@ -299,9 +299,13 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> ClusteringSo
 def _as_labels(sol) -> tuple[np.ndarray, int]:
     if isinstance(sol, ClusteringSolution):
         return sol.as_array(), sol.k
-    arr = np.asarray(sol, dtype=int)
+    arr = np.asarray(sol)
     if arr.ndim != 1:
         raise ValueError("labels must be one-dimensional")
+    if (bad := np.flatnonzero(~(np.isfinite(arr) & (arr >= 0) & (arr == np.round(arr))))).size:
+        raise ValueError(f"labels must be nonnegative integers, got {arr[bad[0]].item()} "
+                         f"at position {bad[0]}")
+    arr = arr.astype(int)
     return arr, int(arr.max()) + 1 if arr.size else 1
 
 

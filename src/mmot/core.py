@@ -17,6 +17,7 @@ __all__ = [
     "ATOM_TOL",
     "MASS_TOL",
     "MAX_ENTRIES",
+    "check_cells",
     "same_atoms",
     "distinct_atoms",
     "DiscreteDistribution",
@@ -33,6 +34,12 @@ ATOM_TOL = 1e-12
 MASS_TOL = 1e-9
 # Dense joint tensors only; anything bigger than this is a usage error.
 MAX_ENTRIES = 10_000_000
+
+
+def check_cells(cells: int, what: str) -> None:
+    """Refuse a dense array of more than MAX_ENTRIES cells, before it is built."""
+    if cells > MAX_ENTRIES:
+        raise ValueError(f"{what} needs {cells} cells, over the cap {MAX_ENTRIES}")
 
 
 def _points(atoms) -> np.ndarray:
@@ -77,9 +84,20 @@ def distinct_atoms(points) -> tuple[np.ndarray, np.ndarray]:
     return pts[kept], owners
 
 
-def _check_total_mass(total: float, what: str) -> None:
-    if abs(total - 1.0) > MASS_TOL:
-        raise ValueError(f"{what} must sum to 1 within {MASS_TOL}, got {total!r}")
+def _mass(entries: np.ndarray, what: str, axis: int | None = None) -> np.ndarray:
+    """The one mass rule: entries nonnegative and each sum over `axis` within
+    MASS_TOL of 1 (so a NaN or inf sum fails), then rescaled and read-only."""
+    if (entries < 0).any():
+        raise ValueError(f"{what} must be nonnegative")
+    sums = entries.sum(axis=axis)
+    if not (ok := abs(sums - 1.0) <= MASS_TOL).all():
+        off = np.flatnonzero(~ok)[0]
+        where = "" if axis is None else f" for sum {off} over axis {axis}"
+        raise ValueError(f"{what} must sum to 1 within {MASS_TOL}, got "
+                         f"{float(np.ravel(sums)[off])!r}{where}")
+    entries = entries / sums
+    entries.setflags(write=False)
+    return entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,14 +117,12 @@ class DiscreteDistribution:
             raise ValueError("atom coordinates must be finite")
         if np.any(masses <= 0):
             raise ValueError("masses must be strictly positive")
-        _check_total_mass(float(masses.sum()), "masses")
-        masses = masses / masses.sum()
+        masses = _mass(masses, "masses")
         clash = np.argwhere(np.triu(same_atoms(atoms, atoms), 1))
         if clash.size:
             s, t = clash[0]
             raise ValueError(f"atoms {s} and {t} coincide; atoms must be pairwise distinct")
         atoms.setflags(write=False)
-        masses.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "masses", masses)
 
@@ -123,19 +139,8 @@ class JointMass:
 
     def __init__(self, entries: np.ndarray):
         entries = np.asarray(entries, dtype=float)
-        if entries.size == 0:
-            raise ValueError("joint mass must be nonempty")
-        if entries.size > MAX_ENTRIES:
-            raise ValueError(
-                f"joint mass has {entries.size} entries, over the cap {MAX_ENTRIES}; "
-                "reduce the number of marginals or atoms"
-            )
-        if np.any(entries < 0):
-            raise ValueError("joint mass entries must be nonnegative")
-        _check_total_mass(float(entries.sum()), "joint mass entries")
-        entries = entries / entries.sum()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        check_cells(entries.size, "a joint mass")
+        object.__setattr__(self, "entries", _mass(entries, "joint mass entries"))
 
     @property
     def shape(self) -> tuple:
@@ -152,15 +157,7 @@ class ConditionalMass:
         entries = np.asarray(entries, dtype=float)
         if entries.ndim != 2:
             raise ValueError("conditional mass must be a 2-d array (m_i, m_k)")
-        if np.any(entries < 0):
-            raise ValueError("conditional mass entries must be nonnegative")
-        sums = entries.sum(axis=0)
-        if np.any(np.abs(sums - 1.0) > MASS_TOL):
-            bad = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValueError(f"column {bad} sums to {sums[bad]!r}, expected 1 within {MASS_TOL}")
-        entries = entries / sums
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", _mass(entries, "conditional mass columns", axis=0))
 
     @property
     def shape(self) -> tuple:
@@ -175,14 +172,19 @@ def check_ell(ell: int) -> int:
 
 
 def braket(A: np.ndarray, B: np.ndarray, ell: int) -> float:
-    """Evaluate <A, B>_ell = sum_s (A_s)^ell B_s."""
+    """Evaluate <A, B>_ell = sum_s (A_s)^ell B_s; a power that overflows is
+    inf, and a cell where B is 0 adds nothing."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
+    if np.isnan(A).any() or np.isnan(B).any():
+        raise ValueError("A and B must not hold NaN")
     if np.any(B < 0):
         raise ValueError("B must be nonnegative")
-    return float(np.sum(A ** check_ell(ell) * B))
+    with np.errstate(over="ignore"):
+        powered = A ** check_ell(ell)
+    return float(np.sum(np.where(B > 0, powered, 0.0) * B))
 
 
 def marginal(j: JointMass, keep_axes: Iterable[int]) -> JointMass:
@@ -227,8 +229,7 @@ def glue(q_k: np.ndarray, conditionals: Mapping[int, ConditionalMass], k: int) -
         if q.shape[1] != m_k:
             raise ValueError(f"conditional for axis {i} conditions on {q.shape[1]} atoms, pivot has {m_k}")
         total *= q.shape[0]
-        if total > MAX_ENTRIES:
-            raise ValueError(f"glued joint would exceed the {MAX_ENTRIES}-entry cap")
+        check_cells(total, "the glued joint")
     # the non-pivot columns multiplied in increasing axis order, then the pivot
     # marginal; contiguous, so JointMass sums the joint in row-major order
     out = np.ones(m_k)

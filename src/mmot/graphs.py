@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import MAX_ENTRIES
+from .core import check_cells
 from .linalg import check_dim, eig_general
 
 __all__ = [
@@ -245,9 +245,9 @@ def load_graph(path: str) -> Graph:
                 raise ValueError(f"{path}:{lineno}: self-loop on node {u}")
             if u < 0 or v < 0:
                 raise ValueError(f"{path}:{lineno}: negative node id")
-            if (max(u, v) + 1) ** 2 > MAX_ENTRIES:
-                raise ValueError(f"{path}:{lineno}: node id {max(u, v)} needs an adjacency "
-                                 f"over the cap of {MAX_ENTRIES} cells")
+            side = max(u, v) + 1
+            check_cells(side ** 2,
+                        f"{path}:{lineno}: node id {side - 1} in the {side} x {side} adjacency")
             if w not in (1, 2):
                 raise ValueError(f"{path}:{lineno}: weight must be 1 or 2, got {w}")
             key = (min(u, v), max(u, v))

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, NoReturn, Sequence
 import numpy as np
 
 from . import lp
-from .core import MAX_ENTRIES, JointMass, same_atoms
+from .core import JointMass, check_cells, same_atoms
 from .transport import SENTINEL_COST, PairwiseCost, marginal_constraints
 
 __all__ = [
@@ -56,10 +56,7 @@ class DistanceTensor:
             raise ValueError(f"order must be at least 2, got {order}")
         if size < order:
             raise ValueError(f"size {size} is too small for order {order}")
-        cells = int(size) ** order
-        if cells > MAX_ENTRIES:
-            raise ValueError(f"a tensor of order {order} over {size} objects has "
-                             f"{cells} cells, over the cap {MAX_ENTRIES}")
+        check_cells(int(size) ** order, f"a tensor of order {order} over {size} objects")
         self.order = order
         self.size = size
         self.dense = np.full((size,) * order, np.nan)
@@ -68,12 +65,15 @@ class DistanceTensor:
     def _key(self, idx: Sequence[int]) -> tuple[int, ...]:
         if len(idx) != self.order:
             raise ValueError(f"expected {self.order} indices, got {len(idx)}")
-        key = tuple(sorted(int(i) for i in idx))
+        # int() would truncate 1.5 and overflow on inf; both are refused here
+        key = sorted(map(int, filter(math.isfinite, idx)))
+        if key != sorted(idx):
+            raise ValueError(f"indices must be integers, got {tuple(idx)}")
         if len(set(key)) != self.order:
             raise ValueError(f"indices must be distinct, got {tuple(idx)}")
         if key[0] < 0 or key[-1] >= self.size:
             raise ValueError(f"index out of range for size {self.size}: {tuple(idx)}")
-        return key
+        return tuple(key)
 
     def set(self, idx: Sequence[int], value: float) -> None:
         v = float(value)
@@ -335,8 +335,7 @@ def check_n_metric_cost(
     m = len(atoms)
     if cost.shape != (m,) * n:
         raise ValueError(f"cost shape {cost.shape} does not match {m} atoms")
-    if m ** (n + 1) > MAX_ENTRIES:
-        raise ValueError(f"triangle scan over {m} ** {n + 1} cells, over the cap {MAX_ENTRIES}")
+    check_cells(m ** (n + 1), f"a triangle scan over {m} ** {n + 1} indices")
     bad = np.argwhere(~np.isfinite(cost))
     if len(bad):
         cell = tuple(bad[0].tolist())
@@ -585,8 +584,7 @@ def no_gluing_check(p12: JointMass, p13: JointMass, p23: JointMass) -> GluingRes
     m2b, m3b = p23.entries.shape
     if m1 != m1b or m2 != m2b or m3 != m3b:
         raise ValueError("bivariate shapes disagree on a shared axis")
-    if (cells := m1 * m2 * m3) > MAX_ENTRIES:
-        raise ValueError(f"trivariate mass would have {cells} cells, over the cap {MAX_ENTRIES}")
+    check_cells(cells := m1 * m2 * m3, "a trivariate mass")
     checks = [
         ("axis 1", p12.entries.sum(axis=1), p13.entries.sum(axis=1)),
         ("axis 2", p12.entries.sum(axis=0), p23.entries.sum(axis=1)),

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lp
-from .core import MAX_ENTRIES, DiscreteDistribution, JointMass, check_ell, marginal, same_atoms
+from .core import DiscreteDistribution, JointMass, check_cells, check_ell, marginal, same_atoms
 
 __all__ = [
     "SENTINEL_COST",
@@ -156,14 +156,11 @@ def mmot(dists: Sequence[DiscreteDistribution], d: np.ndarray, ell: int = 1) -> 
     shape = tuple(p.size for p in dists)
     if cost.shape != shape:
         raise ValueError(f"cost tensor shape {cost.shape} does not match supports {shape}")
-    if cost.size > MAX_ENTRIES:
-        raise ValueError(
-            f"coupling tensor would have {cost.size} entries, over the cap {MAX_ENTRIES}; "
-            "use fewer marginals or smaller supports"
-        )
+    check_cells(cost.size, "a coupling tensor")
     if np.any(np.isnan(cost)) or np.any(cost < 0):
         raise ValueError("costs must be nonnegative and not NaN")
-    c = cost.ravel() ** ell
+    with np.errstate(over="ignore"):  # a power that overflows is inf, so it is blocked
+        c = cost.ravel() ** ell
     cells = np.flatnonzero(c < EFFECTIVELY_INFINITE)
     b = np.concatenate([p.masses for p in dists])
     sol = (lp.solve(lp.LpProblem(c[cells], _constraints(shape, cells), b))
@@ -196,6 +193,7 @@ def wasserstein(
 
 def _summed_cost(dists: Sequence[DiscreteDistribution], d: PairwiseCost) -> np.ndarray:
     shape = tuple(p.size for p in dists)
+    check_cells(math.prod(shape), "a coupling tensor")
     n = len(dists)
     total = np.zeros(shape)
     for s, t in combinations(range(n), 2):
@@ -252,8 +250,7 @@ def barycenter_mmot(
         raise ValueError("base cost must be nonnegative")
     index_maps = [_omega_index(p.atoms, omega) for p in dists]
     shape = tuple(p.size for p in dists)
-    if int(np.prod(shape)) * n_omega > MAX_ENTRIES:
-        raise ValueError("barycenter cost tensor would exceed the entry cap")
+    check_cells(math.prod(shape) * n_omega, "a barycenter cost tensor")
     # stack base rows per axis and minimize over the meeting point w
     cost = np.zeros(shape + (n_omega,))
     for axis, idx in enumerate(index_maps):

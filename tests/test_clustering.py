@@ -309,6 +309,22 @@ class TestClusteringError:
         with pytest.raises(ValueError):
             clustering_error([0, 1], [0, 1, 2])
 
+    @pytest.mark.parametrize("pred, bad", [([1.7, 0, 0, 1], "1.7 at position 0"),
+                                           ([-1, 0, 0, 1], "-1 at position 0"),
+                                           ([0, 0, np.nan, 1], "nan at position 2")])
+    def test_non_integral_or_negative_labels_refused(self, pred, bad):
+        # -1 is the corpus's "unlabeled"; it must not wrap to label k - 1
+        with pytest.raises(ValueError, match=f"labels must be nonnegative integers, got {bad}"):
+            clustering_error(pred, [0, 0, 1, 1])
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            clustering_error([0, 0, 1, 1], pred)
+
+    def test_integral_floats_and_numpy_integers_are_labels(self):
+        truth = [0, 0, 1, 1]
+        assert clustering_error([2.0, 2.0, 0.0, 1.0], truth) == 0.25
+        assert clustering_error(np.array([1, 1, 0, 0], dtype=np.uint8), truth) == 0.0
+        assert clustering_error([np.int64(1), 1, 0, 0], truth) == 0.0
+
     def test_hungarian_agrees_with_brute_force(self):
         rng = np.random.default_rng(55)
         for k in range(2, 9):

@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glue_oracle import pivot_slice_glue
+from mmot import core
 from mmot.core import (
     MASS_TOL,
+    MAX_ENTRIES,
     ConditionalMass,
     DiscreteDistribution,
     JointMass,
     braket,
+    check_cells,
     check_ell,
     conditional,
     glue,
@@ -87,6 +90,58 @@ class TestJointMass:
             JointMass(bad)
 
 
+class TestMassRule:
+    """One rule for DiscreteDistribution, JointMass and ConditionalMass."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mass_refused_by_each_container(self, bad):
+        with pytest.raises(ValueError, match="masses must sum to 1"):
+            DiscreteDistribution([[0.0], [1.0]], [bad, 0.5])
+        with pytest.raises(ValueError, match="joint mass entries must sum to 1"):
+            JointMass(np.array([[bad, 0.25], [0.25, 0.25]]))
+        with pytest.raises(ValueError, match="columns must sum to 1 .* for sum 1 over axis 0"):
+            ConditionalMass(np.array([[0.5, bad], [0.5, 0.5]]))
+
+    def test_rescale_is_one_division_by_the_sum(self):
+        rng = np.random.default_rng(30)
+        # off from 1 by less than MASS_TOL, so the rescale moves the entries
+        m = rng.uniform(0.1, 1.0, size=7)
+        m = m / m.sum() * (1 + 0.5 * MASS_TOL)
+        e = rng.uniform(0.0, 1.0, size=(3, 4, 2))
+        e = e / e.sum() * (1 - 0.5 * MASS_TOL)
+        c = rng.uniform(0.0, 1.0, size=(5, 3))
+        c = c / c.sum(axis=0) * (1 + 0.5 * MASS_TOL)
+        got = (DiscreteDistribution(np.arange(7.0), m).masses, JointMass(e).entries,
+               ConditionalMass(c).entries)
+        for have, want in zip(got, (m / m.sum(), e / e.sum(), c / c.sum(axis=0))):
+            assert np.array_equal(have, want)
+            assert not have.flags.writeable
+
+    def test_empty_joint_refused_by_its_zero_sum(self):
+        with pytest.raises(ValueError, match="joint mass entries must sum to 1 .* got 0.0"):
+            JointMass(np.zeros((0, 3)))
+
+    def test_negative_conditional_entry_refused(self):
+        with pytest.raises(ValueError, match="conditional mass columns must be nonnegative"):
+            ConditionalMass(np.array([[1.5, 0.5], [-0.5, 0.5]]))
+
+
+class TestCheckCells:
+    def test_the_cap_is_inclusive(self):
+        check_cells(MAX_ENTRIES, "a full array")
+        with pytest.raises(ValueError, match=f"a full array needs {MAX_ENTRIES + 1} cells, "
+                                             f"over the cap {MAX_ENTRIES}"):
+            check_cells(MAX_ENTRIES + 1, "a full array")
+
+    def test_joint_mass_and_glue_read_the_one_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_ENTRIES", 7)
+        with pytest.raises(ValueError, match="a joint mass needs 8 cells, over the cap 7"):
+            JointMass(np.full((2, 2, 2), 0.125))
+        half = ConditionalMass(np.full((2, 2), 0.5))
+        with pytest.raises(ValueError, match="the glued joint needs 8 cells, over the cap 7"):
+            glue(np.array([0.5, 0.5]), {0: half, 1: half}, 2)
+
+
 class TestBraket:
     def test_closed_form(self):
         A = np.array([1.0, 2.0])
@@ -107,6 +162,20 @@ class TestBraket:
     def test_ell_must_be_a_positive_integer(self, ell):
         with pytest.raises(ValueError, match="ell must be a positive integer"):
             braket(np.ones(2), np.ones(2), ell)
+
+    def test_overflowing_power_is_inf_where_it_has_mass(self):
+        # 1e200 ** 2 overflows; under the suite's warnings-as-errors that
+        # used to raise, and a zero-mass cell made the bracket NaN
+        A = np.array([1e200, 1.0])
+        assert braket(A, np.array([0.5, 0.5]), 2) == np.inf
+        assert braket(A, np.array([0.0, 1.0]), 2) == 1.0
+
+    @pytest.mark.parametrize("where", ["A", "B"])
+    def test_nan_refused(self, where):
+        A, B = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+        (A if where == "A" else B)[0] = np.nan
+        with pytest.raises(ValueError, match="must not hold NaN"):
+            braket(A, B, 1)
 
     def test_integral_float_ell_is_an_int(self):
         assert check_ell(2.0) == 2 and type(check_ell(2.0)) is int

@@ -18,7 +18,7 @@ from mmot.metric_props import (
     inject_violations,
     no_gluing_check,
 )
-from mmot import metric_props
+from mmot import core, metric_props
 from mmot.cli import main
 from mmot.constructions import collinear_instance
 from mmot.experiments import _blocked_triples
@@ -46,6 +46,20 @@ class TestDistanceTensor:
         assert dict(T.values) == {(0, 2, 4): 2.5}
         # the mapping is keyed by increasing tuples only
         assert (4, 2, 0) not in T.values
+
+    def test_non_integral_index_refused(self):
+        T = DistanceTensor(3, 5)
+        # int(1.5) would silently write cell (0, 1, 2)
+        with pytest.raises(ValueError, match=r"indices must be integers, got \(0, 1\.5, 2\)"):
+            T.set((0, 1.5, 2), 1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="indices must be integers"):
+                T.set((0, bad, 2), 1.0)
+            assert (0, bad, 2) not in T.values
+        assert T.n_sampled == 0
+        T.set((0.0, np.int64(1), 2), 1.0)
+        assert dict(T.values) == {(0, 1, 2): 1.0}
+        assert (0, 1.5, 2) not in T.values
 
     def test_unsampled_reads_sentinel(self, tmp_path):
         T = DistanceTensor(2, 3)
@@ -85,7 +99,7 @@ class TestDistanceTensor:
         assert dict(T.values) == {(0, 1, 2, 3, 5): 0.25}
 
     def test_cell_cap(self, monkeypatch):
-        monkeypatch.setattr(metric_props, "MAX_ENTRIES", 64)
+        monkeypatch.setattr(core, "MAX_ENTRIES", 64)
         assert DistanceTensor(2, 8).dense.size == 64
         assert DistanceTensor(3, 4).dense.size == 64
         for order, size in ((2, 9), (3, 5), (4, 4)):
@@ -405,7 +419,7 @@ class TestCheckNMetricCost:
     def test_scan_over_the_cap_is_refused(self):
         # 57 ** 4 = 10,556,001 scan cells is past core.MAX_ENTRIES, refused before any scan
         cost = np.ones((57, 57, 57))
-        with pytest.raises(ValueError, match=r"57 \*\* 4 cells, over the cap 10000000"):
+        with pytest.raises(ValueError, match=r"57 \*\* 4 indices needs 10556001 cells, over the cap 10000000"):
             check_n_metric_cost(cost, np.arange(57.0))
 
     @pytest.mark.parametrize("n", [2, 3])

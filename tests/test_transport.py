@@ -5,13 +5,14 @@ ell >= 1 the optimal coupling pairs quantiles in order, computable by a
 two-pointer sweep with no LP involved.
 """
 
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mmot import lp, metric_props, transport
+from mmot import core, lp, metric_props, transport
 from mmot.constructions import collinear_instance
 from mmot.core import DiscreteDistribution, JointMass, braket, marginal
 from mmot.metric_props import no_gluing_check
@@ -264,6 +265,25 @@ class TestMMOT:
             assert res.value == pytest.approx(cost, rel=1e-12)
             assert not res.effectively_infinite
 
+    def test_overflowing_power_is_blocked(self):
+        # 1e200 ** 2 overflows to inf: blocked like 1e7 ** 2 >= 1e12, where
+        # the overflow used to raise under the suite's warnings-as-errors
+        p = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
+        q = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
+        got = wasserstein(p, q, [[0.0, 1e200], [1e200, 1.0]], ell=2)
+        want = wasserstein(p, q, [[0.0, 1e7], [1e7, 1.0]], ell=2)
+        assert got.value == want.value == pytest.approx(np.sqrt(0.5), rel=1e-12)
+        assert np.array_equal(got.coupling.entries, want.coupling.entries)
+
+    def test_cells_over_the_cap_refused(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_ENTRIES", 3)
+        p = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="a coupling tensor needs 4 cells, over the cap 3"):
+            mmot([p, p], np.ones((2, 2)))
+        omega = np.array([0.0, 1.0])
+        with pytest.raises(ValueError, match="a barycenter cost tensor needs 8 cells, over the cap 3"):
+            barycenter_mmot([p, p], omega, np.abs(omega[:, None] - omega))
+
     def test_allowed_cells_without_feasible_coupling_return_sentinel(self):
         # only cell (0,0) is finite, but it can carry half the mass at most:
         # the LP over the allowed cells is infeasible
@@ -323,6 +343,19 @@ class TestPairwiseMMOT:
         # the LP's simplex iterations pass through
         lp_res = mmot(ps, transport._summed_cost(ps, euclidean_pairwise(ps)))
         assert res.iterations == lp_res.iterations > 0
+
+    def test_over_the_cap_refused_before_the_cost_is_summed(self):
+        # 8 marginals of 8 atoms: 8 ** 8 = 16,777,216 cells, a 128 MiB summed cost
+        ps = [DiscreteDistribution(np.arange(8.0), np.full(8, 0.125)) for _ in range(8)]
+        costs = PairwiseCost({pair: np.ones((8, 8)) for pair in combinations(range(8), 2)})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="a coupling tensor needs 16777216 cells"):
+                pairwise_mmot(ps, costs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_lower_bound_holds(self):
         rng = np.random.default_rng(44)
