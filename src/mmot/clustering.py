@@ -296,35 +296,40 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> ClusteringSo
     return ClusteringSolution(labels=tuple(labels[int(inertia.argmin())].tolist()), k=k)
 
 
-def _as_labels(sol) -> tuple[np.ndarray, int]:
+def _as_labels(sol) -> np.ndarray:
     if isinstance(sol, ClusteringSolution):
-        return sol.as_array(), sol.k
+        return sol.as_array()
     arr = np.asarray(sol)
     if arr.ndim != 1:
         raise ValueError("labels must be one-dimensional")
     if (bad := np.flatnonzero(~(np.isfinite(arr) & (arr >= 0) & (arr == np.round(arr))))).size:
         raise ValueError(f"labels must be nonnegative integers, got {arr[bad[0]].item()} "
                          f"at position {bad[0]}")
-    arr = arr.astype(int)
-    return arr, int(arr.max()) + 1 if arr.size else 1
+    return arr
 
 
-def _confusion(pred: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
-    c = np.zeros((k, k), dtype=int)
-    np.add.at(c, (pred, truth), 1)
+def _confusion(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Counts of each (predicted, true) pair, one row and column per distinct label.
+
+    Sizing by distinct labels, not by the largest one, drops only zero rows and
+    columns, which never change the optimal matching.
+    """
+    p_ids, p = np.unique(pred, return_inverse=True)
+    t_ids, t = np.unique(truth, return_inverse=True)
+    c = np.zeros((p_ids.size, t_ids.size), dtype=int)
+    np.add.at(c, (p, t), 1)
     return c
 
 
 def clustering_error(pred, truth) -> float:
     """Mismatch fraction minimized over relabelings of the prediction."""
-    p, kp = _as_labels(pred)
-    t, kt = _as_labels(truth)
+    p = _as_labels(pred)
+    t = _as_labels(truth)
     if p.shape != t.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {t.shape}")
     if p.size == 0:
         raise ValueError("empty labelings")
-    k = max(kp, kt)
-    conf = _confusion(p, t, k)
+    conf = _confusion(p, t)
     rows, cols = linear_sum_assignment(-conf)
     return 1.0 - int(conf[rows, cols].sum()) / p.size
 

@@ -304,9 +304,12 @@ def check_metric(
     for i, j, k in permutations(range(len(atoms)), 3):
         if not all(tuple(sorted(p)) in present for p in ((i, j), (i, k), (k, j))):
             continue
-        a = get(i, j)
-        # min-plus product: cheapest detour through space k
-        detour = (get(i, k)[:, :, None] + get(k, j)[None, :, :]).min(axis=1)
+        a, kj = get(i, j), get(k, j)
+        # min-plus product: cheapest detour through space k, one row of space i
+        # at a time, so no m_i x m_k x m_j temporary is ever built
+        detour = np.empty(a.shape)
+        for row, ik in enumerate(get(i, k)):
+            np.min(ik[:, None] + kj, axis=0, out=detour[row])
         rep.n_checked += a.size
         bad = a > detour + TRIANGLE_SLACK
         rep.fail("triangle", np.argwhere(bad), (a - detour)[bad], lead=(i, j, k))

@@ -4,6 +4,15 @@ Each test re-derives its expected numbers through an independent route
 (hand values, exhaustive enumeration, or a frozen closed form) and
 appends one PASS/FAIL line to the terminal summary, so a full run reads
 as a checklist.  Stated runtime budgets are asserted, not aspirational.
+
+Five tests run `mmot verify`'s own checks (`experiments._verify_*`) with
+seeds and case counts of their own, so each check and its bound have one
+owner: gluing feasibility (seed 777), the planar counterexample, the
+index-map audits, glue marginals (seed 515, 100 cases) with the pair
+triangle (seed 616, 100 cases), and the collinear ratio.  The asserts
+each keeps on top of its call are independent routes: the planar hand
+values, duplicate-free pair maps, the collinear tensor meeting C = 3,
+and the timing budgets.
 """
 
 import hashlib
@@ -21,16 +30,16 @@ from test_transport import random_1d, w1d_oracle
 
 from mmot import lp
 from mmot.constructions import collinear_instance, planar_counterexample
-from mmot.core import (
-    ConditionalMass,
-    DiscreteDistribution,
-    JointMass,
-    braket,
-    glue,
-    marginal,
-)
+from mmot.core import DiscreteDistribution
 from mmot.experiments import (
     ExperimentConfig,
+    _collinear_tensor,
+    _verify_collinear,
+    _verify_glue,
+    _verify_gluing,
+    _verify_hashes,
+    _verify_planar,
+    _verify_triangle,
     build_corpus,
     cmd_cluster,
     cmd_distances,
@@ -39,14 +48,8 @@ from mmot.experiments import (
     signature_distribution,
 )
 from mmot.graphs import signature
-from mmot.hashes import Triple, audit_H, audit_H_prime
-from mmot.metric_props import (
-    DistanceTensor,
-    check_n_metric_cost,
-    check_W_tensor,
-    inject_violations,
-    no_gluing_check,
-)
+from mmot.hashes import audit_H
+from mmot.metric_props import check_W_tensor, inject_violations
 from mmot.transport import PairwiseCost, euclidean_cost, pairwise_mmot, wasserstein
 
 
@@ -90,10 +93,8 @@ def test_planar_violation_exact_values():
             assert inst.w_values[key] == pytest.approx(val, abs=1e-8)
         margin = inst.w_values[(0, 1, 2)] - sum(
             v for k, v in inst.w_values.items() if k != (0, 1, 2))
-        assert margin > 0.0
-        assert inst.margin == pytest.approx(margin, abs=1e-12)
-        # the violation needs a (3,1)-metric ground cost
-        assert check_n_metric_cost(inst.cost(), inst.points).ok
+        # verify's check: the (3,1)-metric premise, the closed forms, a margin > 0
+        assert _verify_planar().worst == pytest.approx(margin, abs=1e-12)
         elapsed = time.monotonic() - started
         assert elapsed < 1.0
         note["detail"] = (
@@ -105,46 +106,21 @@ def test_planar_violation_exact_values():
 def test_gluing_feasibility_split():
     with checklist("gluing-feasibility-split") as note:
         started = time.monotonic()
-        third = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]) / 3.0
-        res = no_gluing_check(JointMass(third), JointMass(third),
-                              JointMass(np.ones((3, 3)) / 9.0))
-        assert not res.feasible
-
-        rng = np.random.default_rng(777)
-        raw = rng.random((3, 3, 3))
-        joint = JointMass(raw / raw.sum())
-        p12 = marginal(joint, [0, 1])
-        p13 = marginal(joint, [0, 2])
-        p23 = marginal(joint, [1, 2])
-        res2 = no_gluing_check(p12, p13, p23)
-        assert res2.feasible and res2.witness is not None
-        w = res2.witness.entries
-        resid = max(
-            float(np.abs(w.sum(axis=2) - p12.entries).max()),
-            float(np.abs(w.sum(axis=1) - p13.entries).max()),
-            float(np.abs(w.sum(axis=0) - p23.entries).max()),
-        )
-        assert resid <= 1e-8
+        resid = _verify_gluing(seed=777).worst
         elapsed = time.monotonic() - started
         assert elapsed < 1.0
         note["detail"] = (
             "obstructed pair system infeasible; marginals of a random joint "
-            f"feasible with witness residual {resid:.1e}, {elapsed:.2f}s")
+            f"feasible with witness residual {resid:.1e} <= 1e-9, {elapsed:.2f}s")
 
 
 def test_index_map_audits():
     with checklist("index-map-audits") as note:
         started = time.monotonic()
+        # verify's check: clean audits for n = 2..40, multiplicity 5 at n=4 for (2,3,1)
+        assert _verify_hashes().worst == 5
         for n in range(2, 41):
-            pair_audit = audit_H(n)
-            assert not pair_audit.violations, f"n={n}: {pair_audit.violations[:2]}"
-            assert pair_audit.max_multiplicity == 1, f"n={n} has duplicates"
-            triple_audit = audit_H_prime(n)
-            assert not triple_audit.violations, f"n={n}: {triple_audit.violations[:2]}"
-            assert triple_audit.max_multiplicity <= 5, f"n={n} exceeds 5"
-        worst = audit_H_prime(4)
-        assert worst.max_multiplicity == 5
-        assert Triple(2, 3, 1) in worst.worst_triples
+            assert audit_H(n).max_multiplicity == 1, f"n={n} has duplicates"
         elapsed = time.monotonic() - started
         assert elapsed < 30.0
         note["detail"] = (
@@ -188,19 +164,10 @@ def test_three_way_metric_axioms():
 
 def test_leave_one_out_ratio_bound():
     with checklist("leave-one-out-ratio-bound") as note:
-        dists, d = collinear_instance(4, 3)
-        T = DistanceTensor(4, 5)
-        for sub in combinations(range(5), 4):
-            local = {
-                (a, b): d.get(sub[a], sub[b])
-                for a, b in combinations(range(4), 2)
-            }
-            T.set(sub, pairwise_mmot(
-                [dists[s] for s in sub], PairwiseCost(local)).value)
-        emp = check_W_tensor(T).empirical_C
-        assert emp <= 3.0 + 1e-6
-        assert abs(emp - 3.0) <= 1e-3
+        # verify's check: a metric premise, a ratio within 1e-3 of 3 and at most 3 + 1e-6
+        emp = _verify_collinear().worst
         # attained and never broken: the order-4 tensor meets C = 3
+        T = _collinear_tensor(*collinear_instance(4, 3))
         assert check_W_tensor(T, C=3.0).triangle
         note["detail"] = (
             f"equally spaced collinear atoms (4 roles, 3 ranks): min ratio "
@@ -238,54 +205,13 @@ def test_solver_oracle_equivalence():
 
 def test_glue_reconstruction_and_pair_triangle():
     with checklist("glue-reconstruction-and-pair-triangle") as note:
-        rng = np.random.default_rng(515)
-        for trial in range(100):
-            ndim = int(rng.integers(3, 5))
-            shape = tuple(int(v) for v in rng.integers(2, 5, size=ndim))
-            k = int(rng.integers(ndim))
-            q_k = rng.uniform(0.1, 1.0, size=shape[k])
-            q_k /= q_k.sum()
-            conds = {}
-            for i, m_i in enumerate(shape):
-                if i == k:
-                    continue
-                raw = rng.uniform(0.1, 1.0, size=(m_i, shape[k]))
-                conds[i] = ConditionalMass(raw / raw.sum(axis=0))
-            j = glue(q_k, conds, k)
-            np.testing.assert_allclose(marginal(j, [k]).entries, q_k, atol=1e-12)
-            for i in range(ndim):
-                if i == k:
-                    continue
-                np.testing.assert_allclose(
-                    marginal(j, [i]).entries, conds[i].entries @ q_k, atol=1e-12)
-                pair = marginal(j, [i, k]).entries
-                want = conds[i].entries * q_k if i < k else (conds[i].entries * q_k).T
-                np.testing.assert_allclose(pair, want, atol=1e-12)
-
-        rng = np.random.default_rng(616)
-        for trial in range(100):
-            sizes = [int(v) for v in rng.integers(2, 5, size=3)]
-            raw = rng.uniform(0.05, 1.0, size=tuple(sizes))
-            joint = JointMass(raw / raw.sum())
-            ps = [_random_planar(rng, m) for m in sizes]
-            costs = {
-                (s, t): euclidean_cost(ps[s], ps[t])
-                for s, t in combinations(range(3), 2)
-            }
-            for ell in (1, 2, 3):
-                w = {}
-                for s, t in combinations(range(3), 2):
-                    pair = marginal(joint, [s, t]).entries
-                    w[(s, t)] = braket(costs[(s, t)], pair, ell) ** (1.0 / ell)
-                for (i, j2, k2) in [(0, 1, 2), (0, 2, 1), (1, 2, 0)]:
-                    wij = w[(min(i, j2), max(i, j2))]
-                    wik = w[(min(i, k2), max(i, k2))]
-                    wkj = w[(min(k2, j2), max(k2, j2))]
-                    assert wij <= wik + wkj + 1e-9, f"joint {trial}, power {ell}"
+        glued = _verify_glue(seed=515, cases=100)
+        triangle = _verify_triangle(seed=616, cases=100)
         note["detail"] = (
             "100 seeded glues reproduce pivot, univariate, and pair-with-pivot "
-            "marginals (1e-12); 100 joints obey the pair triangle bound for "
-            "powers 1..3 (1e-9)")
+            f"marginals (max {max(glued.worst, glued.univariate):.1e} <= 1e-12); "
+            "100 joints obey the pair triangle bound for powers 1..3 "
+            f"(max excess {triangle.worst:.2f} <= 1e-9)")
 
 
 def test_violation_injection_marks_targets():

@@ -218,6 +218,17 @@ def test_tracer_installs_and_restores_every_patch(monkeypatch):
         assert vars(owner)[attr] is original, attr
 
 
+def test_traced_verify_reaches_every_verify_layer(monkeypatch, capsys):
+    # the tracer patches these where `experiments` looks them up, so a check
+    # moved out of `experiments` would leave its layer silently at zero
+    spans = _load_spans(monkeypatch)
+    with spans.Tracer().installed() as tracer:
+        assert experiments.cmd_verify() == 0
+    capsys.readouterr()
+    assert {s.name for s in tracer.spans} >= {
+        "constructions.build", "core.glue", "transport.solve", "hashes.audit", "lp.feasible"}
+
+
 def test_huge_node_id_exits_2_naming_its_line(tmp_path, capsys):
     graph_dir = tmp_path / "graphs"
     graph_dir.mkdir()

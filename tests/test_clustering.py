@@ -23,7 +23,6 @@ from mmot.clustering import (
     tune_threshold,
 )
 from mmot import clustering
-from mmot.clustering import _confusion
 from mmot.metric_props import DistanceTensor
 
 import kmeans_oracle
@@ -324,6 +323,9 @@ class TestClusteringError:
         assert clustering_error([2.0, 2.0, 0.0, 1.0], truth) == 0.25
         assert clustering_error(np.array([1, 1, 0, 0], dtype=np.uint8), truth) == 0.0
         assert clustering_error([np.int64(1), 1, 0, 0], truth) == 0.0
+        # the confusion matrix has a row per distinct label, not per value up to the largest
+        for big in (20000, 2.0 ** 63, 1e300):
+            assert clustering_error([big, 0, 0, 1], truth) == 0.5
 
     def test_hungarian_agrees_with_brute_force(self):
         rng = np.random.default_rng(55)
@@ -332,7 +334,9 @@ class TestClusteringError:
                 n = int(rng.integers(6, 30))
                 pred = rng.integers(0, k, size=n)
                 truth = rng.integers(0, k, size=n)
-                matched = best_matches_oracle(_confusion(pred, truth, k))
+                conf = np.zeros((k, k), dtype=int)
+                np.add.at(conf, (pred, truth), 1)
+                matched = best_matches_oracle(conf)
                 assert clustering_error(pred, truth) == 1.0 - matched / n
 
     def test_relabeling_invariance(self):

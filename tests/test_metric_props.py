@@ -1,6 +1,7 @@
 """Distance tensors, metric audits, ratio scans, and violation injection."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -310,6 +311,23 @@ class TestCheckMetric:
         assert rep == atom_oracle.check_metric(d, supports)
         kinds = [v["kind"] for v in rep.violations]
         assert all(kinds.count(k) >= 2 for k in ("nonnegativity", "identity", "triangle"))
+
+    def test_detour_of_large_supports_matches_the_broadcast_in_bounded_memory(self):
+        # one m_i x m_k x m_j broadcast of these 200-atom supports takes 61.8 MiB
+        rng = np.random.default_rng(8)
+        supports = [rng.uniform(-1, 1, size=(200, 2)) for _ in range(3)]
+        d = {(i, j): np.linalg.norm(supports[i][:, None] - supports[j][None], axis=2)
+             for i, j in combinations(range(3), 2)}
+        d[(0, 1)][::40, ::40] = 10.0
+        tracemalloc.start()
+        try:
+            rep = check_metric(d, supports)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert len(rep.violations) == 50
+        assert rep == atom_oracle.check_metric(d, supports)
 
     def test_nan_cell_is_refused(self):
         # NaN compares false: the identity check read it as a violation with
