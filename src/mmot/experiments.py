@@ -14,9 +14,12 @@ t=1 tuple sampling (u=0 pairs, u=1 triples), t=2+j clustering trial j.
 Outside it: `cmd_inject` seeds PCG64 with its own --seed directly, and
 `verify`'s checks take the fixed seeds and case counts that `_VERIFY_CHECKS`
 binds them to.
-Tuple solves are deterministic LPs, so any evaluation order (including a
-parallel one) produces the same tensors; files are emitted with sorted
-keys and repr floats and rerun byte for byte.
+Tuple solves are deterministic LPs, each solved in its thread's cleared
+HiGHS solver, so any evaluation order (including a parallel one)
+produces the same tensors: `tests/test_lp.py` pins this with one thread
+solving a mixed list forward, reversed and shuffled, and with two
+threads solving it at once, each against a fresh solver per LP.  Files
+are emitted with sorted keys and repr floats and rerun byte for byte.
 """
 from __future__ import annotations
 

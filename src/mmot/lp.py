@@ -13,9 +13,14 @@ problem gives the same answer on every run.
 Each solve hands the CSC arrays, costs and bounds to scipy's HiGHS
 binding (`scipy.optimize._highspy._core`, which scipy's own HiGHS
 methods drive) through the array overload of `passModel`, which reads
-the numpy buffers in one call, and runs them in a fresh solver.  A
-solver is never reused: no basis carries over between LPs, so every
-answer depends on its own LP alone, whatever was solved before it.
+the numpy buffers in one call.  Each thread solves its LPs in its own
+solver, made once with `_OPTIONS` and cleared by `clearModel` before
+every LP.  That drops the model, basis, solution and info, keeping only
+the options, so no basis carries over between LPs and every answer
+depends on its own LP alone, whatever was solved before it.  A solver
+that has run an LP of more than `SMALL_NONZEROS` nonzeros keeps that
+LP's workspace through any clear, so the thread drops it and makes a
+new one for its next LP.
 An optimal answer must prove itself: the primal point and the row duals
 pass a residual, dual-feasibility and duality-gap check, or the solve
 raises.  The check computes A x and A'y from the CSC arrays with numpy,
@@ -25,6 +30,7 @@ reported as infeasible.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +78,14 @@ _MINIMIZE = int(_h.ObjSense.kMinimize)
 
 _ANSWERS = (_h.HighsModelStatus.kOptimal, _h.HighsModelStatus.kInfeasible,
             _h.HighsModelStatus.kUnbounded)
+
+# an LP of at most this many nonzeros is small: `transport` caches its
+# full-cell constraint matrix, and the thread's solver is kept after it.
+# A solver that ran a larger LP is dropped, since no clear frees its
+# workspace: after one 50 x 50 x 50 transport LP it held about 35 MB.
+SMALL_NONZEROS = 1 << 14
+
+_thread = threading.local()  # .highs: this thread's solver, or None
 
 
 def _in_highs_form(A) -> bool:
@@ -152,10 +166,22 @@ def _certify(p: LpProblem, x: np.ndarray, y: np.ndarray) -> None:
 
 
 def _highs(p: LpProblem) -> LpSolution:
-    """The one HiGHS call behind both `solve` and `feasible`."""
+    """The one HiGHS call behind both `solve` and `feasible`, in this thread's solver."""
+    highs = getattr(_thread, "highs", None)
+    if highs is None:
+        highs = _thread.highs = _h._Highs()
+        highs.passOptions(_OPTIONS)
+    highs.clearModel()  # no model, basis or solution of an earlier LP is left
+    try:
+        return _run(highs, p)
+    finally:
+        if p.A.nnz > SMALL_NONZEROS:
+            _thread.highs = None
+
+
+def _run(highs: _h._Highs, p: LpProblem) -> LpSolution:
+    """Solve p in a solver that holds `_OPTIONS` and no model."""
     (m, n), A = p.A.shape, p.A
-    highs = _h._Highs()
-    highs.passOptions(_OPTIONS)
     if highs.passModel(n, m, A.nnz, _COLWISE, _MINIMIZE, 0.0, p.c, np.zeros(n),
                        np.full(n, _h.kHighsInf), p.b, p.b, A.indptr, A.indices, A.data,
                        np.zeros(n, dtype=np.int32)) == _h.HighsStatus.kError:

@@ -13,11 +13,11 @@ is the product of the marginals.
 Every constraint matrix comes from `marginal_constraints` in `lp`'s
 HiGHS form, so `lp.LpProblem` takes it without a copy.  An LP with every
 cell open reads it from a cache keyed by shape, which keeps the 64 most
-recently used shapes of at most 16,384 nonzeros (cells times axes).  A
-matrix holds 12 bytes per nonzero and 4 per cell (float64 values, int32
-indices), so one entry retains at most 230 KB and the cache at most
-15 MB; a 14 x 14 x 14 coupling takes 110 KB.  Larger systems and LPs
-with blocked cells build their matrix per call.
+recently used shapes of at most `lp.SMALL_NONZEROS` (16,384) nonzeros
+(cells times axes).  A matrix holds 12 bytes per nonzero and 4 per cell
+(float64 values, int32 indices), so one entry retains at most 230 KB and
+the cache at most 15 MB; a 14 x 14 x 14 coupling takes 110 KB.  Larger
+systems and LPs with blocked cells build their matrix per call.
 """
 from __future__ import annotations
 
@@ -124,9 +124,6 @@ def marginal_constraints(shape: Sequence[int], cells: np.ndarray,
         (np.ones(n * k), rows.ravel(), np.arange(0, n * k + 1, n)), shape=(offset, k)))
 
 
-_CACHED_NONZEROS = 1 << 14
-
-
 @lru_cache(maxsize=64)
 def _full_constraints(shape: tuple[int, ...]) -> sp.csc_array:
     """marginal_constraints over every cell of `shape`, built once per shape."""
@@ -135,7 +132,7 @@ def _full_constraints(shape: tuple[int, ...]) -> sp.csc_array:
 
 def _constraints(shape: tuple[int, ...], cells: np.ndarray) -> sp.csc_array:
     """The marginal system over the open cells; from the cache when all are open and it is small."""
-    if cells.size == math.prod(shape) and cells.size * len(shape) <= _CACHED_NONZEROS:
+    if cells.size == math.prod(shape) and cells.size * len(shape) <= lp.SMALL_NONZEROS:
         return _full_constraints(shape)
     return marginal_constraints(shape, cells)
 

@@ -6,12 +6,15 @@ solutions and `bfs_enumerate` can list them all.  `linprog(method="highs-ds")`
 with presolve off drives the same HiGHS build with the same options, so
 `lp.solve` must return its status, its x and its value exactly.  So must
 the same model built field by field as a `HighsLp` (`highs_lp_oracle`),
-with the same simplex iteration count as well.
+with the same simplex iteration count as well.  That oracle makes a fresh
+solver per LP, and each thread's cleared, reused solver must answer as it
+does: in any order, and on two threads at once.
 """
 
 import os
 import subprocess
 import sys
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -458,6 +461,117 @@ def test_solves_do_not_depend_on_order():
     after = lp.solve(Q)
     assert alone.status == after.status == lp.OPTIMAL
     assert np.array_equal(alone.x, after.x) and alone.value == after.value
+
+
+# ------------------------------------------------------ one cleared solver per thread
+
+REFUSED = "refused"  # the answer to a model HiGHS refuses: lp raises RuntimeError
+REFUSED_LP = lp.LpProblem([1.0, 1.0], [[1e16, 1.0]], [1.0])
+
+
+def mixed_problems():
+    """A seeded list of optimal, unbounded, rank-deficient, infeasible and collinear LPs,
+    with one model HiGHS refuses among them."""
+    instances = [*seeded_instances(), *rank_deficient_instances(),
+                 *inconsistent_instances(), *infeasible_and_unbounded_instances(),
+                 *collinear_instances()]
+    problems = [lp.LpProblem(c, A, b) for c, A, b in instances]
+    problems.insert(len(problems) // 2, REFUSED_LP)
+    return problems
+
+
+def answer(p):
+    """lp's (status, value, x, iterations) for p, or REFUSED."""
+    try:
+        res = lp.solve(p)
+    except RuntimeError as err:
+        assert "Model error" in str(err)
+        return REFUSED
+    return res.status, res.value, res.x, res.iterations
+
+
+def fresh_answers(problems):
+    """Each problem's answer from a fresh solver of its own (`highs_lp_oracle`)."""
+    return [REFUSED if p is REFUSED_LP else highs_lp_oracle.solve(p) for p in problems]
+
+
+def assert_same_answers(got, expected):
+    assert len(got) == len(expected)
+    for mine, fresh in zip(got, expected):
+        if fresh is REFUSED or mine is REFUSED:
+            assert mine is fresh
+            continue
+        assert mine[0] == fresh[0] and mine[3] == fresh[3]
+        np.testing.assert_array_equal(mine[1], fresh[1], strict=True)
+        np.testing.assert_array_equal(mine[2], fresh[2], strict=True)
+
+
+def test_reused_solver_answers_do_not_depend_on_order():
+    problems = mixed_problems()
+    expected = fresh_answers(problems)
+    assert {e if e is REFUSED else e[0] for e in expected} == {
+        lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED, REFUSED}
+    order = np.arange(len(problems))
+    for perm in (order, order[::-1], np.random.default_rng(3).permutation(order)):
+        got = [answer(problems[i]) for i in perm]
+        assert_same_answers(got, [expected[i] for i in perm])
+
+
+def test_two_threads_each_solve_as_a_fresh_solver():
+    problems = mixed_problems()
+    expected = fresh_answers(problems)
+    start = threading.Barrier(2, timeout=60)
+    answers, solvers, errors = {}, {}, []
+
+    def work(name):
+        try:
+            start.wait()
+            answers[name] = [answer(p) for p in problems]
+            solvers[name] = lp._thread.highs
+        except Exception as err:  # reported by the main thread
+            errors.append(err)
+
+    threads = [threading.Thread(target=work, args=(name,)) for name in ("a", "b")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert solvers["a"] is not solvers["b"]
+    for name in ("a", "b"):
+        assert_same_answers(answers[name], expected)
+
+
+def single_row_lp(nonzeros):
+    """min c.x over sum(x) = 1: an LP with exactly `nonzeros` nonzeros."""
+    c = np.random.default_rng(nonzeros).random(nonzeros)
+    return lp.LpProblem(c, np.ones((1, nonzeros)), [1.0])
+
+
+def test_solver_is_kept_up_to_the_nonzero_limit_and_dropped_past_it():
+    at, past = single_row_lp(lp.SMALL_NONZEROS), single_row_lp(lp.SMALL_NONZEROS + 1)
+    assert at.A.nnz == lp.SMALL_NONZEROS
+    lp.solve(lp.LpProblem([1.0, 2.0], [[1.0, 1.0]], [1.0]))
+    kept = lp._thread.highs
+    assert lp.solve(at).status == lp.OPTIMAL
+    assert lp._thread.highs is kept
+    for _ in range(2):  # also when the dropped solver is the one just made
+        sol = lp.solve(past)
+        assert lp._thread.highs is None
+    status, value, x, iterations = highs_lp_oracle.solve(past)
+    assert (sol.status, sol.value, sol.iterations) == (status, value, iterations)
+    np.testing.assert_array_equal(sol.x, x, strict=True)
+    with pytest.raises(RuntimeError, match="Model error"):
+        lp.solve(lp.LpProblem(np.ones(past.c.size), np.full((1, past.c.size), 1e16), [1.0]))
+    assert lp._thread.highs is None  # dropped when the solve raises too
+    lp.solve(at)
+    assert lp._thread.highs is not None and lp._thread.highs is not kept
 
 
 # ------------------------------------------------------ HiGHS model errors
