@@ -5,6 +5,12 @@ generalized (n, C)-metric check on a shared cost tensor, the same check
 on a sampled tensor of transport values of any order, and the
 feasibility probe for reconstructing a joint from three bivariate
 masses.
+
+A `DistanceTensor`'s `sampled_entries()` lists its sampled keys and values
+as arrays, and its csv reader parses with one `np.loadtxt`.  The audits
+build their violation records through one owner, `MetricReport.fail`, one
+record per row in row order.  `check_W_tensor` holds one block of subsets
+at a time.  `_full_draws` is the one function that draws 4-subsets.
 """
 from __future__ import annotations
 
@@ -395,23 +401,27 @@ def _roles(order: int) -> np.ndarray:
                      for r in range(order + 1)], dtype=np.intp)
 
 
+def _faces(dense: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Per subset row, the entries of its faces in `_roles` order, one column per face."""
+    return np.column_stack([dense[tuple(subsets[:, p] for p in cols)]
+                            for cols in _roles(dense.ndim)])
+
+
 def _full_subsets(T: DistanceTensor) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Each fully sampled (order+1)-subset and its entries by role, one block per smallest index.
 
     Subsets come in lexicographic order straight from the tensor's dense
     array, so a scan holds one block at a time.
     """
-    order, dense = T.order, T.dense
+    order = T.order
     # the tails of every block: increasing order-tuples over 1..size-1,
     # lexicographic, so the tails above index i form a suffix
     tails = np.array(list(combinations(range(1, T.size), order)),
                      dtype=np.intp).reshape(-1, order)
-    roles = _roles(order)
     for first in range(T.size - order):
         block = tails[np.searchsorted(tails[:, 0], first, side="right"):]
         subsets = np.column_stack([np.full(len(block), first, dtype=np.intp), block])
-        vals = np.column_stack([dense[tuple(subsets[:, p] for p in cols)]
-                                for cols in roles])
+        vals = _faces(T.dense, subsets)
         full = ~np.isnan(vals).any(axis=1)
         yield subsets[full], vals[full]
 
@@ -451,27 +461,35 @@ def check_W_tensor(T: DistanceTensor, C: float = 1.0) -> MetricReport:
     return rep
 
 
-# rejection draws per batch in inject_violations: 2048 rows of 7 int64 draws,
+# rejection draws per batch in _full_draws: 2048 rows of 7 int64 draws,
 # about 0.25 MB of scratch arrays at a time
 _DRAW_BATCH = 2048
 
 
-def _draw_4subsets(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """`count` successive sorted `rng.choice(n, 4, replace=False)` draws as rows, in one call.
+def _full_draws(rng: np.random.Generator, dense: np.ndarray,
+                limit: int) -> Iterator[tuple[int, ...]]:
+    """The fully sampled rows among `limit` sorted `rng.choice(n, 4, replace=False)` draws.
 
-    numpy's Generator draws a sample this small by Floyd's algorithm: one
-    bounded draw on [0, j] for each j = n-4 .. n-1, a value already picked
-    replaced by j, then a shuffle drawing on [0, 3], [0, 2] and [0, 1].
-    `rng.integers` makes the same seven draws from the same stream, so the
-    rows and the final generator state equal the scalar loop's.  Sorting
-    makes the shuffle's order irrelevant; its draws are still made.
+    numpy draws a sample this small by Floyd's algorithm: one bounded draw
+    on [0, j] for each j = n-4 .. n-1, a value already picked replaced by
+    j, then a shuffle drawing on [0, 3], [0, 2] and [0, 1].  One
+    `rng.integers` call per `_DRAW_BATCH` draws makes the same seven draws
+    from the same stream; sorting makes the shuffle's order irrelevant.
+    Rows with every face sampled are yielded in draw order as int tuples.
+    A batch is drawn only once the previous one is used up, so a consumer
+    that stops leaves the generator at the end of its last row's batch,
+    and one that reads all `limit` draws leaves it where the scalar loop does.
     """
-    draws = rng.integers(0, np.array([n - 3, n - 2, n - 1, n, 4, 3, 2]), size=(count, 7))
-    picks = draws[:, :4]
-    for c in range(1, 4):
-        seen = (picks[:, :c] == picks[:, c:c + 1]).any(axis=1)
-        picks[:, c] = np.where(seen, n - 4 + c, picks[:, c])
-    return np.sort(picks, axis=1)
+    n = dense.shape[0]
+    bounds = np.array([n - 3, n - 2, n - 1, n, 4, 3, 2])
+    for start in range(0, limit, _DRAW_BATCH):
+        picks = rng.integers(0, bounds, size=(min(_DRAW_BATCH, limit - start), 7))[:, :4]
+        for c in range(1, 4):
+            seen = (picks[:, :c] == picks[:, c:c + 1]).any(axis=1)
+            picks[:, c] = np.where(seen, n - 4 + c, picks[:, c])
+        subsets = np.sort(picks, axis=1)
+        full = ~np.isnan(_faces(dense, subsets)).any(axis=1)
+        yield from map(tuple, subsets[full].tolist())
 
 
 def inject_violations(
@@ -491,9 +509,10 @@ def inject_violations(
     slack are skipped.  The fraction counts sampled entries.  It gives up
     after 10,000 draws per target rewrite.
 
-    The 4-subsets are drawn in batches by `_draw_4subsets`, so each draw,
-    the output and the generator's final state are those of one
-    `rng.choice(T.size, 4, replace=False)` per draw.
+    The 4-subsets come from `_full_draws`, so they and the output are those
+    of one `rng.choice(T.size, 4, replace=False)` per draw.  The generator
+    is left at the end of the `_DRAW_BATCH`-draw batch holding the draw
+    that met the target or raised, or after all the draws on a give-up.
     """
     if T.order != 3:
         raise ValueError("inject_violations needs an order-3 tensor")
@@ -509,62 +528,40 @@ def inject_violations(
     if target == 0:
         return out
     locked: set[tuple[int, ...]] = set(out.modified)
-    # rewrites keep every entry sampled, so this mask says which subsets are full
-    sampled = ~np.isnan(out.dense)
     done = 0
-    attempts = 0
-    max_attempts = 10_000 * max(target, 1)
-    while done < target:
-        if attempts == max_attempts:
-            n_full = sum(len(subsets) for subsets, _ in _full_subsets(out))
-            n_subsets = math.comb(T.size, 4)
-            hint = ("sample the tensor with --sampling blocks" if n_full < n_subsets else
-                    "every 4-subset is fully sampled, so too few unlocked triples have a "
-                    "raise that clears the audit slack; ask for a lower --fraction")
-            raise ValueError(
-                f"could not find enough fully sampled 4-subsets in {max_attempts} draws; "
-                f"{n_full} of the tensor's {n_subsets} 4-subsets are fully sampled "
-                f"(modified {done} of {target}); {hint}")
-        # the state before each batch lets the generator be rewound to where
-        # the draw-by-draw loop stops: after the draw that met the target or raised
-        state = rng.bit_generator.state
-        count = min(_DRAW_BATCH, max_attempts - attempts)
-        subsets = _draw_4subsets(rng, T.size, count)
-        a, b, c, d = subsets.T
-        full = sampled[a, b, c] & sampled[a, b, d] & sampled[a, c, d] & sampled[b, c, d]
-        used = count
-        try:
-            for k in np.flatnonzero(full).tolist():
-                triples = list(combinations(subsets[k].tolist(), 3))
-                vals = out.dense[tuple(np.array(triples).T)]
-                # delta is the raise putting this triple level with the other three;
-                # the post-raise margin is (factor-1)*delta, which must beat the
-                # slack check_W_tensor grants
-                deltas = dict(zip(triples, (_face_rhs(vals[None])[0] - vals).tolist()))
-                free = [t for t in triples
-                        if t not in locked
-                        and (factor - 1.0) * deltas[t] > 10.0 * TRIANGLE_SLACK]
-                if not free:
-                    continue
-                t_min = min(free, key=lambda t: (deltas[t], t))
-                raised = out.dense[t_min] + factor * deltas[t_min]
-                if not math.isfinite(raised):
-                    used = k + 1
-                    raise ValueError(f"raising triple {t_min} by factor {factor} "
-                                     f"gives {raised}, not a finite value")
-                out.dense[t_min] = raised
-                out.modified.add(t_min)
-                locked.update(triples)
-                done += 1
-                if done == target:
-                    used = k + 1
-                    break
-        finally:
-            if used < count:
-                rng.bit_generator.state = state
-                _draw_4subsets(rng, T.size, used)
-        attempts += used
-    return out
+    max_attempts = 10_000 * target
+    for subset in _full_draws(rng, out.dense, max_attempts):
+        triples = list(combinations(subset, 3))
+        vals = out.dense[tuple(np.array(triples).T)]
+        # delta is the raise putting this triple level with the other three;
+        # the post-raise margin is (factor-1)*delta, which must beat the
+        # slack check_W_tensor grants
+        deltas = dict(zip(triples, (_face_rhs(vals[None])[0] - vals).tolist()))
+        free = [t for t in triples
+                if t not in locked
+                and (factor - 1.0) * deltas[t] > 10.0 * TRIANGLE_SLACK]
+        if not free:
+            continue
+        t_min = min(free, key=lambda t: (deltas[t], t))
+        raised = out.dense[t_min] + factor * deltas[t_min]
+        if not math.isfinite(raised):
+            raise ValueError(f"raising triple {t_min} by factor {factor} "
+                             f"gives {raised}, not a finite value")
+        out.dense[t_min] = raised
+        out.modified.add(t_min)
+        locked.update(triples)
+        done += 1
+        if done == target:
+            return out
+    n_full = sum(len(subsets) for subsets, _ in _full_subsets(out))
+    n_subsets = math.comb(T.size, 4)
+    hint = ("sample the tensor with --sampling blocks" if n_full < n_subsets else
+            "every 4-subset is fully sampled, so too few unlocked triples have a "
+            "raise that clears the audit slack; ask for a lower --fraction")
+    raise ValueError(
+        f"could not find enough fully sampled 4-subsets in {max_attempts} draws; "
+        f"{n_full} of the tensor's {n_subsets} 4-subsets are fully sampled "
+        f"(modified {done} of {target}); {hint}")
 
 
 @dataclass
@@ -608,4 +605,4 @@ def no_gluing_check(p12: JointMass, p13: JointMass, p23: JointMass) -> GluingRes
     if status != lp.FEASIBLE:
         return GluingResult(False)
     r = np.clip(x, 0.0, None).reshape(m1, m2, m3)
-    return GluingResult(True, JointMass(r / r.sum()))
+    return GluingResult(True, JointMass(r))

@@ -243,13 +243,14 @@ class TestDenseMatchesDictOracle:
             if T.order != 3:
                 continue
             for seed in range(3):
-                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                rng, ref_rng = np.random.default_rng(seed), CountingRng(seed)
                 want = inject_oracle(ref, ref_rng, fraction=0.2, factor=1.3)
                 got = inject_violations(T, rng, fraction=0.2, factor=1.3)
                 assert got.values == want.values
                 assert got.modified == want.modified
-                # the same draws were made
-                assert rng.bit_generator.state == ref_rng.bit_generator.state
+                # the same draws were made, up to the end of the last batch
+                assert rng.bit_generator.state == after_batches(
+                    seed, T, 0.2, ref_rng.draws).bit_generator.state
                 injected += len(got.modified)
         assert injected > 0
 
@@ -782,10 +783,10 @@ class TestInjectViolations:
     def test_a_refused_raise_leaves_the_generator_after_its_draw(self):
         # every subset is full and strictly metric, so the first draw raises
         T = metric_tensor(6)
-        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="not a finite value"):
             inject_violations(T, rng, fraction=0.2, factor=1e308)
-        ref.choice(6, size=4, replace=False)
+        ref = after_batches(0, T, 0.2, 1)
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -799,6 +800,25 @@ class CountingRng:
     def choice(self, *args, **kwargs):
         self.draws += 1
         return self.rng.choice(*args, **kwargs)
+
+
+def scalar_draws(rng, n, count):
+    """`count` successive sorted `rng.choice(n, 4, replace=False)` draws, as tuples."""
+    return [tuple(sorted(rng.choice(n, size=4, replace=False).tolist())) for _ in range(count)]
+
+
+def after_batches(seed, T, fraction, draws):
+    """A generator from `seed` left where inject_violations leaves its own after `draws` draws.
+
+    That is after the scalar draws of every batch started: `draws` rounded
+    up to a whole number of `_DRAW_BATCH` batches, capped at the give-up
+    limit of 10,000 draws per target rewrite.
+    """
+    batch = metric_props._DRAW_BATCH
+    limit = 10_000 * math.ceil(fraction * T.n_sampled)
+    rng = np.random.default_rng(seed)
+    scalar_draws(rng, T.size, min(math.ceil(draws / batch) * batch, limit))
+    return rng
 
 
 def perimeter_pair(keys, pts):
@@ -825,8 +845,9 @@ def blocked_pair(n, budget, seed):
 def inject_both(T, ref, seed, **kwargs):
     """Run inject_violations and inject_oracle from one seed and require equal results.
 
-    Results, modified sets and final generator states must match, a give-up
-    included; returns both results (None on a give-up) and the oracle's draws.
+    Results and modified sets must match, a give-up included, and the
+    generator must be left at the end of the batch of the oracle's last
+    draw; returns both results (None on a give-up) and the oracle's draws.
     """
     rng, ref_rng = np.random.default_rng(seed), CountingRng(seed)
     outcomes = []
@@ -841,7 +862,8 @@ def inject_both(T, ref, seed, **kwargs):
     if got is not None:
         assert got.values == want.values
         assert got.modified == want.modified
-    assert rng.bit_generator.state == ref_rng.rng.bit_generator.state
+    ref_state = after_batches(seed, T, kwargs["fraction"], ref_rng.draws).bit_generator.state
+    assert rng.bit_generator.state == ref_state
     return got, want, ref_rng.draws
 
 
@@ -850,15 +872,42 @@ class TestBatchedDraws:
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 11, 35, 64, 199, 215])
     def test_draw_4subsets_matches_choice(self, n):
+        # every entry sampled, so every draw is yielded; a zero-strided
+        # view keeps the (n, n, n) array free at n = 215
+        dense = np.broadcast_to(0.0, (n, n, n))
         for seed in range(20):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             # successive calls of several sizes continue one stream
             for count in (1, 3, 50, 1, 200):
-                got = metric_props._draw_4subsets(rng, n, count)
-                want = [sorted(ref.choice(n, size=4, replace=False).tolist())
-                        for _ in range(count)]
-                assert got.tolist() == want
+                got = list(metric_props._full_draws(rng, dense, count))
+                assert got == scalar_draws(ref, n, count)
                 assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_full_draws_yields_the_full_rows_in_draw_order(self):
+        T, ref_T = random_pair(3, 9, np.random.default_rng(4), 0.8)
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        got = list(metric_props._full_draws(rng, T.dense, 3000))
+        want = [s for s in scalar_draws(ref, 9, 3000)
+                if all(t in ref_T.sampled for t in combinations(s, 3))]
+        assert got == want
+        assert 0 < len(want) < 3000
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_full_draws_crosses_batches_and_stops_at_the_limit(self, monkeypatch):
+        monkeypatch.setattr(metric_props, "_DRAW_BATCH", 7)
+        dense = np.broadcast_to(0.0, (12, 12, 12))
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        draws = metric_props._full_draws(rng, dense, 30)
+        # the first row draws one whole batch
+        first = next(draws)
+        want = scalar_draws(ref, 12, 7)
+        assert first == want[0]
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # the rest continue the stream over four more batches, the last of 2 draws
+        rest = list(draws)
+        want += scalar_draws(ref, 12, 23)
+        assert [first] + rest == want
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_inject_matches_oracle_on_blocked_tensors(self):
         draws = []
@@ -867,7 +916,7 @@ class TestBatchedDraws:
             got, _, n_draws = inject_both(T, ref, seed, fraction=0.2, factor=1.3)
             assert got is not None and got.modified
             draws.append(n_draws)
-        # the draws span several batches, and the last one is rewound
+        # the draws span several batches, and the oracle stops inside the last one
         assert max(draws) > 3 * metric_props._DRAW_BATCH
         assert all(d % metric_props._DRAW_BATCH for d in draws)
 
