@@ -13,8 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
+from dataclasses import MISSING, fields
 
 from . import hashes
 from .constructions import planar_counterexample
@@ -25,6 +24,7 @@ from .experiments import (
     cmd_distances,
     cmd_inject,
     cmd_verify,
+    generator,
     load_config_file,
     parse_config_value,
 )
@@ -33,22 +33,19 @@ from .graphs import DEFAULT_FAMILIES, generate, save_graph
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--seed", type=int, required=True, help="master seed")
     for key in CONFIG_PARSERS:
-        if key != "seed":
-            p.add_argument("--" + key.replace("_", "-"),
-                           help=f"config key {key}, parsed as in a config file")
+        p.add_argument("--" + key.replace("_", "-"),
+                       help=f"config key {key}, parsed as in a config file")
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    values: dict = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    for key in CONFIG_PARSERS:
-        raw = getattr(args, key)
-        if key != "seed" and raw is not None:
-            values[key] = parse_config_value(key, raw)
-    values["seed"] = args.seed
+    values = load_config_file(args.config) if args.config else {}
+    for f in fields(ExperimentConfig):
+        raw = getattr(args, f.name)
+        if raw is not None:
+            values[f.name] = parse_config_value(f.name, raw)
+        elif f.default is MISSING and f.name not in values:
+            raise ValueError(f"config key {f.name!r}: required, as a flag or a config-file line")
     return ExperimentConfig(**values)
 
 
@@ -114,11 +111,9 @@ _FAMILY_FLAGS = {key: type(val) for params in DEFAULT_FAMILIES.values()
 def _run_graphs_gen(args: argparse.Namespace) -> int:
     params = {key: getattr(args, key) for key in _FAMILY_FLAGS
               if getattr(args, key) is not None}
-    rng = None
-    if args.family == "erdos_renyi":
-        if args.seed is None:
-            raise ValueError("--seed is required for erdos_renyi")
-        rng = np.random.Generator(np.random.PCG64(args.seed))
+    if args.family == "erdos_renyi" and args.seed is None:
+        raise ValueError("--seed is required for erdos_renyi")
+    rng = None if args.seed is None else generator(args.seed)
     g = generate(args.family, params, rng)
     save_graph(g, args.out)
     print(f"{args.family}: {g.n} nodes, {g.num_edges} edges -> {args.out}")

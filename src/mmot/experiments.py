@@ -11,9 +11,8 @@ master seed through one documented scheme:
 
 with GAMMA the splitmix64 increment.  Stream ids: t=0 corpus graph u,
 t=1 tuple sampling (u=0 pairs, u=1 triples), t=2+j clustering trial j.
-Outside it: `cmd_inject` seeds PCG64 with its own --seed directly, and
-`verify`'s checks take the fixed seeds and case counts that `_VERIFY_CHECKS`
-binds them to.
+`generator(seed)` makes every generator, these streams included, and
+refuses a seed that is not an integer in [0, 2**64).
 Tuple solves are deterministic LPs, each solved in its thread's cleared
 HiGHS solver, so any evaluation order (including a parallel one)
 produces the same tensors: `tests/test_lp.py` pins this with one thread
@@ -86,6 +85,7 @@ __all__ = [
     "CONFIG_PARSERS",
     "splitmix64",
     "derive_seed",
+    "generator",
     "parse_config_value",
     "parse_config_text",
     "load_config_file",
@@ -144,11 +144,19 @@ def splitmix64(x: int) -> int:
 
 
 def derive_seed(master: int, t: int, u: int) -> int:
-    return (master ^ splitmix64((t * GAMMA + u) & _MASK)) & _MASK
+    return master ^ splitmix64(t * GAMMA + u)
 
 
-def _stream(master: int, t: int, u: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(derive_seed(master, t, u)))
+# the one seed rule, for every command: an integer in [0, 2**64)
+def _check_seed(seed: object, name: str = "seed") -> int:
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= _MASK:
+        raise ValueError(f"{name}: must be an integer in [0, 2**64), got {seed!r}")
+    return seed
+
+
+def generator(seed: int) -> np.random.Generator:
+    """The only maker of generators in `mmot`: PCG64, as `np.random.default_rng(seed)`."""
+    return np.random.Generator(np.random.PCG64(_check_seed(seed)))
 
 
 @dataclass(frozen=True)
@@ -172,11 +180,12 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int):
-            raise ValueError("config key 'seed': must be an integer")
-        for fam in self.families:
+        _check_seed(self.seed, "config key 'seed'")
+        for i, fam in enumerate(self.families):
             if fam not in DEFAULT_FAMILIES:
                 raise ValueError(f"config key 'families': unknown family {fam!r}")
+            if fam in self.families[:i]:
+                raise ValueError(f"config key 'families': family {fam!r} named twice")
         if not self.families and self.input_dir is None:
             raise ValueError("config key 'families': need at least one family")
         if self.backend not in BACKENDS:
@@ -241,7 +250,7 @@ def parse_config_value(key: str, raw: str) -> object:
 def parse_config_text(text: str) -> dict:
     """Parse `key = value` lines; '#' starts a comment."""
     values: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -309,7 +318,7 @@ def build_corpus(config: ExperimentConfig) -> list[CorpusGraph]:
     gi = 0
     for label, fam in enumerate(config.families):
         for copy in range(config.graphs_per_family):
-            rng = _stream(config.seed, 0, gi)
+            rng = generator(derive_seed(config.seed, 0, gi))
             base = generate(fam, {}, rng)
             g = perturb(base, config.perturb_p, rng=rng)
             out.append(CorpusGraph(f"{fam}-{copy:02d}", fam, label, g))
@@ -381,7 +390,7 @@ def compute_tensor(config: ExperimentConfig,
     if n < order:
         raise ValueError(f"need at least {order} graphs, got {n}")
     universe = list(combinations(range(n), order))
-    rng = _stream(config.seed, 1, 0 if order == 2 else 1)
+    rng = generator(derive_seed(config.seed, 1, 0 if order == 2 else 1))
     if budget >= len(universe):
         chosen = universe
     elif order == 3 and config.sampling == "blocks":
@@ -499,7 +508,7 @@ def cmd_cluster(config: ExperimentConfig, tensor_path: str) -> tuple[ExperimentR
         raise ValueError(f"tensor is over {T.size} objects, corpus has {len(corpus)}")
     truth = _truth_labels(corpus)
     k = len(set(truth))
-    rngs = [_stream(config.seed, 2 + trial, 0) for trial in range(config.trials)]
+    rngs = [generator(derive_seed(config.seed, 2 + trial, 0)) for trial in range(config.trials)]
     work: dict = {"clusterings": config.trials}
     if config.clusterer == "spectral":
         errors = trial_errors(spectral_embedding(T, k), truth, k, rngs)
@@ -551,8 +560,8 @@ def cmd_cluster(config: ExperimentConfig, tensor_path: str) -> tuple[ExperimentR
 def cmd_inject(tensor_path: str, fraction: float, factor: float, seed: int,
                out_tensor: str, out_report: str | None = None) -> dict:
     """Corrupt a tensor with targeted triangle violations; report the C drop."""
+    rng = generator(seed)
     T = DistanceTensor.from_csv(tensor_path)
-    rng = np.random.Generator(np.random.PCG64(seed))
     injected = inject_violations(T, rng, fraction=fraction, factor=factor)
     before = check_W_tensor(T).empirical_C
     after = check_W_tensor(injected).empirical_C
@@ -600,7 +609,7 @@ def _verify_gluing(seed: int) -> Checked:
                           JointMass(np.ones((3, 3)) / 9.0))
     if res.feasible:
         raise AssertionError("obstructed marginal system reported feasible")
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     r = rng.random((3, 3, 3))
     joint = JointMass(r / r.sum())
     p12 = marginal(joint, [0, 1])
@@ -648,7 +657,7 @@ def _verify_hashes() -> Checked:
 
 
 def _verify_glue(seed: int, cases: int) -> Checked:
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     worst = univariate = 0.0
     for _ in range(cases):
         n = int(rng.integers(3, 5))
@@ -678,7 +687,7 @@ def _verify_glue(seed: int, cases: int) -> Checked:
 
 
 def _verify_triangle(seed: int, cases: int) -> Checked:
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     worst = -math.inf
     for _ in range(cases):
         sizes = [int(rng.integers(2, 5)) for _ in range(3)]

@@ -124,7 +124,7 @@ class DistanceTensor:
     @classmethod
     def from_csv(cls, path: str) -> "DistanceTensor":
         with open(path) as fh:
-            lines = fh.read().splitlines()
+            lines = fh.read().split("\n")
         # 1-based numbers of the non-blank lines, one per parsed row
         numbers = [n for n, line in enumerate(lines, start=1) if line.strip()]
         if not numbers:

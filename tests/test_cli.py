@@ -229,6 +229,17 @@ def test_traced_verify_reaches_every_verify_layer(monkeypatch, capsys):
         "constructions.build", "core.glue", "transport.solve", "hashes.audit", "lp.feasible"}
 
 
+def test_verify_prints_fail_and_exits_1_when_a_check_raises(monkeypatch, capsys):
+    def broken():
+        raise AssertionError("planted failure")
+    monkeypatch.setattr(experiments, "_VERIFY_CHECKS", (
+        ("fine", lambda: experiments.Checked("nothing wrong", 0.0)), ("broken", broken)))
+    rc, out, err = run(["verify"], capsys)
+    assert rc == 1
+    assert out == "PASS fine: nothing wrong\nFAIL broken: planted failure\n1 of 2 checks passed\n"
+    assert err == ""
+
+
 def test_huge_node_id_exits_2_naming_its_line(tmp_path, capsys):
     graph_dir = tmp_path / "graphs"
     graph_dir.mkdir()
@@ -297,9 +308,63 @@ class TestExperimentCommands:
         assert (digest(tensor), digest(report), digest(hist)) == first
 
     def test_seed_is_required(self, small_cfg, capsys):
-        cfg, _ = small_cfg
-        rc, _, _ = run(["distances", "--config", str(cfg)], capsys)
+        cfg, out_dir = small_cfg
+        rc, out, err = run(["distances", "--config", str(cfg)], capsys)
         assert rc == 2
+        assert out == ""
+        assert err == "error: config key 'seed': required, as a flag or a config-file line\n"
+        assert not out_dir.exists()
+
+    def test_config_file_seed_counts_and_the_flag_overrides_it(self, small_cfg, tmp_path, capsys):
+        cfg, _ = small_cfg
+        seeded = tmp_path / "seeded.cfg"
+        seeded.write_text(cfg.read_text() + "seed = 21\n")
+
+        def outputs(argv, name):
+            out_dir = tmp_path / name
+            assert run([*argv, "--out-dir", str(out_dir)], capsys)[0] == 0
+            corpus = json.loads((out_dir / "corpus.json").read_text())
+            del corpus["config"]["out_dir"]
+            return (corpus, digest(out_dir / "tensor_mmot_pairwise.csv"),
+                    digest(out_dir / "distances_mmot_pairwise.json"))
+
+        from_flag = outputs(["distances", "--config", str(cfg), "--seed", "21"], "flag")
+        assert outputs(["distances", "--config", str(seeded)], "file") == from_flag
+        other = outputs(["distances", "--config", str(cfg), "--seed", "5"], "other")
+        assert other != from_flag
+        assert outputs(["distances", "--config", str(seeded), "--seed", "5"], "both") == other
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_every_command_refuses_a_seed_outside_the_range(self, tmp_path, capsys, seed):
+        tensor = tmp_path / "four.csv"
+        tensor.write_text("0,1,2,1.0,1\n0,1,3,1.0,1\n0,2,3,1.0,1\n1,2,3,1.0,1\n")
+        out = tmp_path / "out"
+        commands = {
+            "distances": ["distances", "--out-dir", str(out)],
+            "cluster": ["cluster", "--tensor", str(tensor), "--out-dir", str(out)],
+            "inject": ["inject", "--tensor", str(tensor), "--out", str(out / "inj.csv"),
+                       "--report", str(tmp_path / "inj.json")],
+            "graphs gen": ["graphs", "gen", "--family", "erdos_renyi",
+                           "--out", str(tmp_path / "er.csv")],
+        }
+        rule = f"must be an integer in [0, 2**64), got {seed}\n"
+        for name, argv in commands.items():
+            rc, stdout, err = run([*argv, "--seed", seed], capsys)
+            assert rc == 2, name
+            assert stdout == ""
+            where = "config key 'seed'" if name in ("distances", "cluster") else "seed"
+            assert err == f"error: {where}: {rule}", name
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["four.csv"]
+
+    def test_cluster_refuses_a_tensor_over_another_corpus(self, small_cfg, tmp_path, capsys):
+        cfg, out_dir = small_cfg
+        tensor = tmp_path / "five.csv"
+        tensor.write_text("0,1,2,1.0,1\n1,2,4,1.0,1\n")
+        rc, _, err = run(["cluster", "--config", str(cfg), "--seed", "21",
+                          "--tensor", str(tensor)], capsys)
+        assert rc == 2
+        assert err == "error: tensor is over 5 objects, corpus has 6\n"
+        assert not out_dir.exists()
 
     def test_cli_flags_override_config(self, small_cfg, capsys):
         cfg, out_dir = small_cfg
@@ -429,8 +494,9 @@ class TestExperimentCommands:
         assert not report.exists()
 
 
-# one raw value per config key except seed, valid as a flag and as a file line
+# one raw value per config key, valid as a flag and as a file line
 FLAG_VALUES = {
+    "seed": "9",
     "families": "cycle, complete",
     "graphs_per_family": "3",
     "perturb_p": "0.1",
@@ -453,39 +519,45 @@ def flag(key):
 
 
 class TestConfigFlags:
-    def test_every_config_key_but_seed_is_a_flag(self):
-        assert set(FLAG_VALUES) == set(CONFIG_PARSERS) - {"seed"}
+    def test_every_config_key_is_a_flag(self):
+        assert set(FLAG_VALUES) == set(CONFIG_PARSERS)
         parser = build_parser()
         for command in (["distances"], ["cluster", "--tensor", "t.csv"]):
             for key, raw in FLAG_VALUES.items():
-                args = parser.parse_args([*command, "--seed", "1", flag(key), raw])
+                args = parser.parse_args([*command, flag(key), raw])
                 assert getattr(args, key) == raw
+                # every flag is a raw string for parse_config_value, --seed too
+                assert args.seed == (raw if key == "seed" else None)
 
     def test_flag_and_config_line_build_equal_configs(self, tmp_path):
         parser = build_parser()
         for key, raw in FLAG_VALUES.items():
             extra = {"ell": ["--backend", "mmot_nonmetric"]}.get(key, [])
+            seed = [] if key == "seed" else ["--seed", "4"]
             cfg = tmp_path / f"{key}.cfg"
             cfg.write_text(f"{key} = {raw}\n")
             from_file = _build_config(parser.parse_args(
-                ["distances", "--seed", "4", "--config", str(cfg), *extra]))
+                ["distances", *seed, "--config", str(cfg), *extra]))
             from_flag = _build_config(parser.parse_args(
-                ["distances", "--seed", "4", flag(key), raw, *extra]))
+                ["distances", *seed, flag(key), raw, *extra]))
             assert from_flag == from_file
             assert getattr(from_flag, key) != getattr(
                 _build_config(parser.parse_args(["distances", "--seed", "4", *extra])), key)
 
     def test_bad_flag_values_take_the_config_error_path(self, tmp_path, capsys):
         for key, raw, wording in (("backend", "bogus", "'bogus' not in"),
-                                  ("trials", "lots", "cannot parse 'lots'")):
-            rc, _, err = run(["distances", "--seed", "1", flag(key), raw,
+                                  ("trials", "lots", "cannot parse 'lots'"),
+                                  ("seed", "abc", "cannot parse 'abc'"),
+                                  ("seed", "-1", "must be an integer in [0, 2**64)")):
+            seed = [] if key == "seed" else ["--seed", "1"]
+            rc, _, err = run(["distances", *seed, flag(key), raw,
                               "--out-dir", str(tmp_path)], capsys)
             assert rc == 2
             assert err.startswith(f"error: config key {key!r}: ")
             assert wording in err
             cfg = tmp_path / f"{key}.cfg"
             cfg.write_text(f"{key} = {raw}\n")
-            rc, _, file_err = run(["distances", "--seed", "1", "--config", str(cfg),
+            rc, _, file_err = run(["distances", *seed, "--config", str(cfg),
                                    "--out-dir", str(tmp_path)], capsys)
             assert rc == 2
             assert err == file_err

@@ -109,6 +109,14 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="line 1"):
             parse_config_text("no equals sign here\n")
 
+    # lines are counted at "\n" alone: no other line break of
+    # str.splitlines ("\r" aside) ends a line
+    @pytest.mark.parametrize("sep", list("\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_lines_are_counted_at_newlines(self, sep):
+        with pytest.raises(ValueError,
+                           match=r"^config line 3: expected key = value, got 'badline'$"):
+            parse_config_text(f"seed = 1\n{sep}\nbadline")
+
 
 class TestExperimentConfig:
     def test_validation_names_offending_key(self):
@@ -122,6 +130,14 @@ class TestExperimentConfig:
             ExperimentConfig(seed=1, perturb_p=1.5)
         with pytest.raises(ValueError, match="families"):
             ExperimentConfig(seed=1, families=("petersen",))
+
+    def test_repeated_family_is_refused(self):
+        # two labels for copies of one generator would be a split no clusterer can recover
+        with pytest.raises(ValueError,
+                           match=r"^config key 'families': family 'cycle' named twice$"):
+            ExperimentConfig(seed=1, families=("cycle", "complete", "cycle"))
+        with pytest.raises(ValueError, match="named twice"):
+            ExperimentConfig(seed=1, **parse_config_text("families = cycle, cycle\n"))
 
     def test_ell_above_one_needs_nonmetric_backend(self):
         with pytest.raises(ValueError, match="ell"):
@@ -177,6 +193,12 @@ class TestLabelsFile:
     def test_row_without_a_graph_file_names_its_line(self, tmp_path):
         cfg = self.corpus_dir(tmp_path, "g0,0\ng1,0\n\ng3,1\ng2,1\n")
         with pytest.raises(ValueError, match=r"labels\.csv:4: no graph file g3\.csv"):
+            build_corpus(cfg)
+
+    @pytest.mark.parametrize("sep", list("\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_lines_are_counted_at_newlines(self, tmp_path, sep):
+        cfg = self.corpus_dir(tmp_path, f"g0,0\n{sep}\ng3,1\n")
+        with pytest.raises(ValueError, match=r"labels\.csv:3: no graph file g3\.csv"):
             build_corpus(cfg)
 
     def test_cluster_names_the_unlabeled_graphs(self, tmp_path, capsys):
@@ -514,7 +536,7 @@ class TestClusterMatchesPerTrialOracle:
         k = len(set(truth))
         want = []
         for trial in range(cfg.trials):
-            rng = experiments._stream(cfg.seed, 2 + trial, 0)
+            rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.seed, 2 + trial, 0)))
             if clusterer == "spectral":
                 want.append((None, clustering_error(spectral_cluster(T, k, rng), truth)))
                 continue

@@ -271,6 +271,18 @@ class TestFileRoundTrip:
         p.write_text("0,1,1\n0,1,1\n")
         with pytest.raises(ValueError, match="duplicate"):
             load_graph(str(p))
+        p.write_text("0,1,1\n1,2.5,1\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:2: non-integer field$"):
+            load_graph(str(p))
+        p.write_text("0,1,1\n-1,2,1\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:2: negative node id$"):
+            load_graph(str(p))
+        # lines are counted at "\n" alone: no other line break of
+        # str.splitlines ("\r" aside) ends a line
+        for sep in "\v\f\x1c\x1d\x1e\x85\u2028\u2029":
+            p.write_text(f"0,1,1\n{sep}\n1,x,1\n")
+            with pytest.raises(ValueError, match=r"bad\.csv:3: non-integer field$"):
+                load_graph(str(p))
         p.write_text("nonsense\n")
         with pytest.raises(ValueError):
             load_graph(str(p))

@@ -7,6 +7,7 @@ import pytest
 
 import hash_oracle as oracle
 from mmot import hashes
+from mmot.cli import main
 from mmot.hashes import (
     AUDIT_CAP,
     H_n,
@@ -249,6 +250,14 @@ class TestPlantedFaults:
         assert not rep.ok
         assert wording in rep.violations
         assert rep == oracle.audit_H_prime(4)
+
+    def test_cli_audit_exits_1_on_a_failed_audit(self, monkeypatch, capsys):
+        _plant(monkeypatch, "_pair_routes", "H_n", {(2, 3): (2, 3, 3)})
+        assert main(["hash", "audit", "--n", "5"]) == 1
+        out = capsys.readouterr().out
+        assert out == f"{audit_H(5).summary()}\n{audit_H_prime(5).summary()}\n"
+        assert out.splitlines()[0].endswith("FAILED (1 violations)")
+        assert out.splitlines()[1].endswith(", ok")
 
     def test_offenders_in_first_emission_order(self, monkeypatch):
         # (1,4,2) goes from 4 to 6 and is now the very first triple emitted;

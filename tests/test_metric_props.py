@@ -155,6 +155,11 @@ class TestCsvErrors:
         ("0,1,2,1.0,1\n0,1,3,-0.5,1\n", 2, "finite and nonnegative"),
         ("0,1,2,1.0,1\n0,1,3,inf,1\n", 2, "finite and nonnegative"),
         ("0,1,3,nan,1\n", 1, "finite and nonnegative"),
+        ("0,1,2,1.0,1\n0,1,3,abc,1\n", 2, "could not convert string to float: 'abc'"),
+        # lines are counted at "\n" alone: no other line break of
+        # str.splitlines ("\r" aside) ends a line
+        *[(f"0,1,2,1.0,1\n{sep}\n0,1,3,x,1\n", 3, "could not convert string to float: 'x'")
+          for sep in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"],
     ])
     def test_bad_line_is_named(self, tmp_path, text, line, reason):
         p = tmp_path / "t.csv"

@@ -1,13 +1,17 @@
-"""Every random draw in `mmot` comes from a generator the caller passes in."""
+"""Every random draw in `mmot` comes from a generator the caller passes in,
+and `experiments.generator` makes every generator under one seed rule."""
 
 import importlib
 import inspect
 import pkgutil
+import re
 
 import numpy as np
 import pytest
 
 import mmot
+from mmot import cli
+from mmot.experiments import GAMMA, ExperimentConfig, derive_seed, generator, splitmix64
 from mmot.graphs import erdos_renyi, generate, perturb
 
 MODULES = [importlib.import_module(f"mmot.{m.name}")
@@ -60,3 +64,44 @@ def test_generate_refuses_erdos_renyi_without_a_generator():
         generate("erdos_renyi", {"n": 10, "p": 0.4}, None)
     # a deterministic family needs none
     assert generate("cycle", {"n": 5}, None).n == 5
+
+
+def test_one_function_makes_every_generator():
+    maker = inspect.getsource(generator)
+    assert "PCG64" in maker
+    for module in MODULES:
+        source = inspect.getsource(module).replace(maker, "")
+        for name in ("PCG64", "default_rng", "Generator("):
+            assert name not in source, (module.__name__, name)
+    assert "numpy" not in inspect.getsource(cli)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20260819, 2**63, 2**64 - 1])
+def test_generator_is_default_rng(seed):
+    got, want = generator(seed), np.random.default_rng(seed)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert (got.random(8) == want.random(8)).all()
+
+
+RULE = r": must be an integer in \[0, 2\*\*64\), got "
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.0, "7", None, True])
+def test_one_rule_refuses_every_seed_outside_the_range(seed):
+    with pytest.raises(ValueError, match=f"^seed{RULE}{re.escape(repr(seed))}$"):
+        generator(seed)
+    with pytest.raises(ValueError, match=f"^config key 'seed'{RULE}"):
+        ExperimentConfig(seed=seed)
+    assert ExperimentConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+
+def test_derive_seed_keeps_every_stream_of_a_valid_master():
+    # the fully masked formula as the oracle: splitmix64 masks its own
+    # input, so the two agree on every master in [0, 2**64)
+    mask = 2**64 - 1
+    for master in (0, 1, 20260819, 2**63 + 5, mask):
+        for t, u in ((0, 0), (0, 34), (1, 1), (21, 0), (2**70, 3)):
+            old = (master ^ splitmix64((t * GAMMA + u) & mask)) & mask
+            assert derive_seed(master, t, u) == old
+            assert generator(derive_seed(master, t, u)).bit_generator.state == \
+                np.random.default_rng(old).bit_generator.state
