@@ -195,7 +195,7 @@ class ExperimentConfig:
         for key in ("graphs_per_family", "top_k", "ell", "pairs_budget",
                     "triples_budget", "trials"):
             val = getattr(self, key)
-            if not isinstance(val, int) or val < 1:
+            if isinstance(val, bool) or not isinstance(val, int) or val < 1:
                 raise ValueError(f"config key {key!r}: must be a positive integer, got {val!r}")
         if not 0.0 <= self.perturb_p <= 1.0:
             raise ValueError(f"config key 'perturb_p': must be in [0, 1], got {self.perturb_p}")

@@ -4,19 +4,19 @@ The maps route pair/triple index terms into shared buckets; the audits
 certify the two properties everything downstream leans on: H^n never
 produces the same bucket twice, and H'^n produces at most 5 copies.
 
-Each map is defined once, as a numpy kernel over index arrays. The public
-`h`, `h_prime`, `H_n` and `H_prime_n` check their domain and call the
-kernel on length-1 int64 arrays, so the audits certify the very map they
-return. A routing kernel returns per-slot columns a, b, c and a
-keep-mask, each (m, 4); the kept slots, read in row-major order, are the
-routed triples in emission order. An audit checks the kept slots with
-boolean masks and encodes each as (a*N + b)*N + c, N = n + 2, in int32,
-which is exact for n <= AUDIT_CAP. H^n is routed in one call; H'^n in
-chunks of whole r, at most `_ROUTE_BATCH` routed inputs per call, which
-bounds memory, keeping each r's codes (and their maximum multiplicity).
-The kept codes are counted with `np.bincount`, H'^n's chunk by chunk into
-one pooled count, and offending codes are read in first-emission order
-with `np.unique`.
+Each map is defined once, as a numpy kernel over index arrays. The
+public `h`, `h_prime`, `H_n` and `H_prime_n` check their domain
+(integers, not `bool`, in range) and call the kernel on length-1 int64
+arrays, so the audits certify the very map they return. A routing kernel
+returns per-slot columns a, b, c and a keep-mask, each (m, 4); the kept
+slots, read in row-major order, are the routed triples in emission
+order. An audit checks the kept slots with boolean masks and encodes
+each as (a*N + b)*N + c, N = n + 2, in int32, which is exact for n <=
+AUDIT_CAP. H^n is routed in one call; H'^n in chunks of whole r, at most
+`_ROUTE_BATCH` routed inputs per call, which bounds memory. The kept
+codes are counted with `np.bincount`, H'^n's chunk by chunk into one
+pooled count, and offending codes are read in first-emission order with
+`np.unique`.
 """
 from __future__ import annotations
 
@@ -106,7 +106,10 @@ def _kept(a: np.ndarray, b: np.ndarray, c: np.ndarray, keep: np.ndarray) -> list
     return _triples(a[keep], b[keep], c[keep])
 
 
-def _check_n(n: int) -> None:
+def _check_n(n: int, **indices: int) -> None:
+    for name, v in {"n": n, **indices}.items():
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {v!r}")
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
 
@@ -117,7 +120,7 @@ def _one(i: int) -> np.ndarray:
 
 def h(i: int, n: int) -> int:
     """Bucket index for i in [n]; lands in [n] and never equals i."""
-    _check_n(n)
+    _check_n(n, i=i)
     if not 1 <= i <= n:
         raise ValueError(f"i must be in [1, {n}], got {i}")
     return int(_h(_one(i), n)[0])
@@ -125,7 +128,7 @@ def h(i: int, n: int) -> int:
 
 def h_prime(i: int, r: int, n: int) -> int:
     """Bucket index for (i, r); lands in [n] and avoids {i, r} for n >= 3."""
-    _check_n(n)
+    _check_n(n, i=i, r=r)
     if not 1 <= i <= n:
         raise ValueError(f"i must be in [1, {n}], got {i}")
     if not 1 <= r <= n - 1:
@@ -135,7 +138,7 @@ def h_prime(i: int, r: int, n: int) -> int:
 
 def H_n(i: int, j: int, n: int) -> list[Triple]:
     """Route the pair (i, j), i < j <= n, to 2-4 triples over [n+1]."""
-    _check_n(n)
+    _check_n(n, i=i, j=j)
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
     return _kept(*_pair_routes(_one(i), _one(j), n))
@@ -146,7 +149,7 @@ def H_prime_n(i: int, j: int, r: int, n: int) -> list[Triple]:
 
     First two components of every output triple come out sorted.
     """
-    _check_n(n)
+    _check_n(n, i=i, j=j, r=r)
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
     if not 1 <= r <= n - 1:
@@ -161,10 +164,8 @@ class HashAuditReport:
     n: int
     total: int
     max_multiplicity: int
-    histogram: dict[int, int]
     violations: list[str] = field(default_factory=list)
-    # only audit_H_prime fills these: per-r maxima and the pooled witnesses
-    per_r_max: dict[int, int] | None = None
+    # only audit_H_prime fills this: the pooled witnesses
     worst_triples: list[Triple] = field(default_factory=list)
 
     @property
@@ -233,10 +234,6 @@ def _first_emitted(codes: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return hit[np.sort(first)]
 
 
-def _histogram(counts: np.ndarray) -> dict[int, int]:
-    return {k: v for k, v in enumerate(np.bincount(counts).tolist()) if k and v}
-
-
 def audit_H(n: int) -> HashAuditReport:
     """Exhaustively audit H^n: no duplicate triples, components in range."""
     _audit_cap(n)
@@ -258,7 +255,6 @@ def audit_H(n: int) -> HashAuditReport:
         n=n,
         total=len(codes),
         max_multiplicity=max_mult,
-        histogram=_histogram(counts),
         violations=violations,
     )
 
@@ -267,13 +263,12 @@ def audit_H_prime(n: int) -> HashAuditReport:
     """Exhaustively audit H'^n: at most 5 copies of any triple.
 
     Multiplicities are pooled over r (the bound is about the full
-    collation); the report also carries the per-r maxima.
+    collation).
     """
     _audit_cap(n)
     i, j = _pairs(n)
     pairs = len(i)
     per_call = max(1, _ROUTE_BATCH // pairs)
-    per_r_max: dict[int, int] = {}
     violations: list[str] = []
     codes = []
     pooled = np.zeros((n + 2) ** 3, dtype=np.intp)
@@ -281,7 +276,7 @@ def audit_H_prime(n: int) -> HashAuditReport:
         # r-major rows, so row-major slots are emission order across the chunk
         rs = np.arange(r0, min(r0 + per_call, n), dtype=np.int32)
         ii, jj, rr = np.tile(i, len(rs)), np.tile(j, len(rs)), np.repeat(rs, pairs)
-        a, b, c, keep = routes = _triple_routes(ii, jj, rr, n)
+        a, b, c, _ = routes = _triple_routes(ii, jj, rr, n)
         violations += _flag(*routes, [
             (~((1 <= a) & (a <= b) & (b <= n)), "out of range"),
             (~((1 <= c) & (c <= n)), "bucket out of range"),
@@ -292,9 +287,6 @@ def audit_H_prime(n: int) -> HashAuditReport:
         codes.append(_codes(*routes, n))
         # chunk by chunk, so no more than one chunk's codes is copied to intp
         pooled += np.bincount(codes[-1], minlength=len(pooled))
-        ends = np.cumsum(keep.reshape(len(rs), -1).sum(axis=1))[:-1]
-        for r, part in zip(rs.tolist(), np.split(codes[-1], ends)):
-            per_r_max[r] = int(np.bincount(part).max())
     max_mult = int(pooled.max())
     if max_mult > 5:
         offenders = _first_emitted(np.concatenate(codes), pooled > 5)
@@ -304,8 +296,6 @@ def audit_H_prime(n: int) -> HashAuditReport:
         n=n,
         total=sum(map(len, codes)),
         max_multiplicity=max_mult,
-        histogram=_histogram(pooled),
         violations=violations,
-        per_r_max=per_r_max,
         worst_triples=_decode(worst, n),
     )

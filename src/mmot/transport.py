@@ -173,7 +173,6 @@ def mmot(dists: Sequence[DiscreteDistribution], d: np.ndarray, ell: int = 1) -> 
     else:
         raise RuntimeError(f"transport LP unexpectedly {sol.status}")
     r = np.clip(x, 0.0, None).reshape(shape)
-    r = r / r.sum()
     for axis, p in enumerate(dists):
         got = r.sum(axis=tuple(a for a in range(r.ndim) if a != axis))
         if np.max(np.abs(got - p.masses)) > MARGINAL_TOL:

@@ -97,13 +97,11 @@ def audit_H(n: int) -> HashAuditReport:
     for t, c in counts.items():
         if c > 1:
             violations.append(f"duplicate triple {t} appears {c} times")
-    hist = Counter(counts.values())
     max_mult = max(counts.values()) if counts else 0
     return HashAuditReport(
         n=n,
         total=sum(counts.values()),
         max_multiplicity=max_mult,
-        histogram=dict(sorted(hist.items())),
         violations=violations,
     )
 
@@ -111,7 +109,6 @@ def audit_H(n: int) -> HashAuditReport:
 def audit_H_prime(n: int) -> HashAuditReport:
     _audit_cap(n)
     pooled: Counter[Triple] = Counter()
-    per_r_max: dict[int, int] = {}
     violations: list[str] = []
     for r in range(1, n):
         counts_r: Counter[Triple] = Counter()
@@ -125,20 +122,16 @@ def audit_H_prime(n: int) -> HashAuditReport:
                         violations.append(f"{t} from ({i},{j},{r}): bucket out of range")
                     if n >= 3 and t.c in (t.a, t.b):
                         violations.append(f"{t} from ({i},{j},{r}): bucket collides")
-        per_r_max[r] = max(counts_r.values()) if counts_r else 0
         pooled.update(counts_r)
     max_mult = max(pooled.values()) if pooled else 0
     if max_mult > 5:
         offenders = [t for t, c in pooled.items() if c > 5]
         violations.append(f"multiplicity {max_mult} > 5 for {offenders[:5]}")
-    hist = Counter(pooled.values())
     worst = sorted(t for t, c in pooled.items() if c == max_mult)
     return HashAuditReport(
         n=n,
         total=sum(pooled.values()),
         max_multiplicity=max_mult,
-        histogram=dict(sorted(hist.items())),
         violations=violations,
-        per_r_max=per_r_max,
         worst_triples=worst[:10],
     )

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import hash_oracle
 from mmot import experiments, hashes, metric_props
 from mmot.cli import _build_config, build_parser, main
 from mmot.experiments import CONFIG_PARSERS
@@ -42,9 +43,11 @@ class TestHashAudit:
         assert "max multiplicity 5" in out
 
     def test_sweep(self, capsys):
-        rc, out, _ = run(["hash", "audit", "--n-max", "6"], capsys)
+        rc, out, err = run(["hash", "audit", "--n-max", "12"], capsys)
         assert rc == 0
-        assert len(out.strip().splitlines()) >= 5
+        assert err == ""
+        assert out == "".join(f"{rep.summary()}\n" for n in range(2, 13)
+                              for rep in (hash_oracle.audit_H(n), hash_oracle.audit_H_prime(n)))
 
     @pytest.mark.parametrize("n_max", ["1", "0", "-3"])
     def test_empty_range_is_an_error(self, capsys, n_max):

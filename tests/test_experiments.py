@@ -131,6 +131,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="families"):
             ExperimentConfig(seed=1, families=("petersen",))
 
+    @pytest.mark.parametrize("key", ["graphs_per_family", "top_k", "ell", "pairs_budget",
+                                     "triples_budget", "trials"])
+    def test_integer_keys_refuse_bool(self, key):
+        # a bool is an int to isinstance, and to_json would write it as true
+        with pytest.raises(ValueError,
+                           match=rf"^config key '{key}': must be a positive integer, got True$"):
+            ExperimentConfig(seed=1, backend="mmot_nonmetric", **{key: True})
+        assert getattr(ExperimentConfig(seed=1, backend="mmot_nonmetric", **{key: 1}), key) == 1
+
     def test_repeated_family_is_refused(self):
         # two labels for copies of one generator would be a split no clusterer can recover
         with pytest.raises(ValueError,
